@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{DataVinci, Table}
-import repro.core.repair.Predicates
 
 /** Adapter exposing the DataVinci pipeline through the common evaluation
   * interface, with the configuration (including the Table-9 ablations)
@@ -11,12 +10,8 @@ final class DataVinciSystem(cfg: DataVinci.Config = DataVinci.Config(),
                             label: String = "DataVinci") extends CleaningSystem {
   def name: String = label
 
-  def clean(table: Table): Map[Int, ColumnOutcome] = {
-    lazy val feats = Predicates.featuresOf(table)
-    table.cols.indices.map { c =>
-      val res = DataVinci.cleanColumn(table, c, cfg, Some(feats))
-      val repairs = res.repairs.flatMap { case (r, cr) => cr.suggestion.map(r -> _) }
-      c -> ColumnOutcome(res.errors, repairs)
-    }.toMap
-  }
+  def clean(table: Table): Map[Int, ColumnOutcome] =
+    DataVinci.cleanTable(table, cfg).map { case (c, res) =>
+      c -> ColumnOutcome(res.errors, res.repairs.flatMap { case (r, cr) => cr.suggestion.map(r -> _) })
+    }
 }

@@ -1,8 +1,7 @@
 package repro.core
 
-import repro.core.pattern._
-import repro.core.repair._
-import repro.semantics.{MaskOcc, MaskedValue, SemanticMasker}
+import repro.core.pattern.Pattern
+import repro.core.repair.Predicates
 
 /** The DataVinci pipeline (§3): semantic abstraction → significant-pattern
   * learning → error detection → minimal abstract edit programs → learned
@@ -54,135 +53,32 @@ object DataVinci {
     * per-table predicate features across columns.
     */
   def cleanColumn(table: Table, colIdx: Int, cfg: Config = Config(),
-                  featsOpt: Option[Vector[Predicates.Feature]] = None): ColumnResult = {
-    val values = table.col(colIdx).values
-    val mvs    = maskedValues(values, cfg)
-    val masked = mvs.map(_.masked)
+                  featsOpt: Option[Vector[Predicates.Feature]] = None): ColumnResult =
+    cleanModel(new PatternModel(table, colIdx, 0 until table.numRows, cfg,
+      featsOpt.getOrElse(Predicates.featuresOf(table))))
 
-    val learned = PatternLearner.learn(masked, cfg.maxPatterns)
-    val sig     = learned.significant(cfg.delta)
-    if (sig.isEmpty) return ColumnResult(colIdx, sig, Set.empty, Map.empty)
+  /** Clean every column of `table`, sharing predicate features. */
+  def cleanTable(table: Table, cfg: Config = Config()): Map[Int, ColumnResult] =
+    cleanColumns(table, table.cols.indices, cfg)
 
+  /** Clean the given columns of `table`; their predicate features are built
+    * once, when the first repair needs them.
+    */
+  private[core] def cleanColumns(table: Table, cols: Seq[Int], cfg: Config): Map[Int, ColumnResult] = {
+    lazy val feats = Predicates.featuresOf(table)
+    cols.map(c => c -> cleanModel(new PatternModel(table, c, 0 until table.numRows, cfg, feats))).toMap
+  }
+
+  /** Detect and repair with a model trained on all rows of its column. */
+  private[core] def cleanModel(m: PatternModel): ColumnResult = {
+    val sig = m.significant
+    if (sig.isEmpty) return ColumnResult(m.colIdx, sig, Set.empty, Map.empty)
     // a value is an error when it misses every significant pattern, or when
     // the LLM had to fuzzy-repair a semantic substring while masking (§3.2:
     // such values mask *into* the language and need the semantic signal)
-    val patternMiss = masked.indices.filter(r => !sig.exists(_._1.matches(masked(r)))).toSet
-    val semanticErr = masked.indices.filter(r =>
-      mvs(r).occs.exists(o => o.fuzzy && o.suggestion != o.original)).toSet
-    val errors = patternMiss ++ semanticErr
-    if (errors.isEmpty) return ColumnResult(colIdx, sig, errors, Map.empty)
-
-    val feats = featsOpt.getOrElse(Predicates.featuresOf(table))
-    val nonErrorValues = values.indices.filterNot(errors).map(values).toVector
-    val cons = sig.map { case (p, cov) =>
-      (p, cov, new Concretizer(table, feats, p, masked, mvs.map(_.occs.map(_.suggestion)), cfg.alpha))
-    }
-
-    val repairs = errors.iterator.map { r =>
-      r -> repairCell(r, values(r), mvs(r), cons, nonErrorValues, cfg)
-    }.toMap
-    ColumnResult(colIdx, sig, errors, repairs)
-  }
-
-  /** Clean every column of `table`, sharing predicate features. */
-  def cleanTable(table: Table, cfg: Config = Config()): Map[Int, ColumnResult] = {
-    lazy val feats = Predicates.featuresOf(table)
-    table.cols.indices.map(c => c -> cleanColumn(table, c, cfg, Some(feats))).toMap
-  }
-
-  /** Mask a column per configuration (identity when semantics are off). */
-  private[core] def maskedValues(values: Vector[String], cfg: Config): Vector[MaskedValue] = {
-    val mvs =
-      if (cfg.semantic) SemanticMasker.maskColumn(values)
-      else values.map(v => MaskedValue(v, Vector.empty))
-    if (cfg.limitedSemanticConcretization)
-      mvs.map(m => m.copy(occs = m.occs.map(o => o.copy(suggestion = o.original))))
-    else mvs
-  }
-
-  /** Repair one erroneous cell against every significant pattern and rank. */
-  private[core] def repairCell(row: Int, original: String, mv: MaskedValue,
-                               cons: Vector[(Pattern, Double, Concretizer)],
-                               nonErrorValues: Vector[String],
-                               cfg: Config): CellRepair = {
-    val cands = cons.flatMap { case (p, cov, con) =>
-      val dag = Dag.build(p, mv.masked.length)
-      EditDp.minimalRepairs(dag, mv.masked).flatMap { rep =>
-        val edits = alnumEdits(dag, rep, mv.masked)
-        concretize(rep, con, row, mv, cfg).map(s => Ranker.Candidate(s, p.pretty, cov, edits, rep.cost))
-      }
-    }.filter(_.repaired != original)
-    val ranked = Ranker.rank(original, cands, nonErrorValues, cfg.weights, cfg.editDistanceRanking)
-    CellRepair(row, original, ranked.headOption.map(_.repaired), ranked.take(5))
-  }
-
-  /** Count edit operations touching alphanumeric (or semantic) characters —
-    * ranker feature (2) of §3.5.
-    */
-  private def alnumEdits(dag: Dag, rep: AbstractRepair, maskedIn: String): Int =
-    rep.steps.count { st =>
-      st.move match {
-        case Move.MatchM => false
-        case Move.Del =>
-          st.inIdx >= 0 && st.inIdx < maskedIn.length && {
-            val c = maskedIn(st.inIdx); c.isLetterOrDigit || Masks.isMask(c)
-          }
-        case _ =>
-          // a substitution destroying an alphanumeric input char counts too
-          val consumedAlnum = st.move == Move.Sub && st.inIdx >= 0 &&
-            st.inIdx < maskedIn.length && {
-              val c = maskedIn(st.inIdx); c.isLetterOrDigit || Masks.isMask(c)
-            }
-          consumedAlnum || (dag.edges(st.edge).label match {
-            case LitLabel(c)  => c.isLetterOrDigit
-            case ClsLabel(cc) => cc != CharClassT.Space
-            case MaskLabel(_) => true
-          })
-      }
-    }
-
-  /** Resolve the abstract emit units of a repair into concrete strings.
-    * Learned mode yields one candidate; enumeration mode (the "no learned
-    * concretization" ablation) yields the capped cross-product.
-    */
-  private def concretize(rep: AbstractRepair, con: Concretizer, row: Int,
-                         mv: MaskedValue, cfg: Config): Vector[String] = {
-    def ownSuggestion(pos: Int): String = {
-      val occIdx = mv.masked.take(pos).count(Masks.isMask)
-      mv.occs.lift(occIdx).map(_.suggestion)
-        .getOrElse(mv.occs.headOption.map(_.suggestion).getOrElse(""))
-    }
-    if (cfg.learnedConcretization) {
-      val sb = new StringBuilder
-      rep.emitted.foreach {
-        case EChar(c) =>
-          if (Masks.isMask(c)) sb.append(ownSuggestion(mv.masked.indexOf(c)))
-          else sb.append(c)
-        case u: ECls  => sb.append(con.concretizeCls(u, row))
-        case u: EDisj => sb.append(con.concretizeDisj(u, row))
-        case u: EMask => u.fromInput match {
-          case Some(pos) => sb.append(ownSuggestion(pos))
-          case None      => sb.append(con.concretizeMask(u, row))
-        }
-      }
-      Vector(sb.toString)
-    } else {
-      // enumeration: cross-product of per-unit candidate lists, capped
-      var acc = Vector("")
-      rep.emitted.foreach { u =>
-        val opts: Vector[String] = u match {
-          case EChar(c) =>
-            if (Masks.isMask(c)) Vector(ownSuggestion(mv.masked.indexOf(c))) else Vector(c.toString)
-          case u: ECls  => con.enumerateCls(u)
-          case u: EDisj => con.enumerateDisj(u)
-          case u: EMask => u.fromInput match {
-            case Some(pos) => Vector(ownSuggestion(pos))
-            case None      => con.enumerateMask(u)
-          }
-        }
-        acc = acc.flatMap(p => opts.map(p + _)).take(cfg.maxCandidates)
-      }
-      acc.distinct
-    }
+    val rows = m.values.indices
+    val errors = m.misses(rows) ++
+      rows.filter(r => m.mvs(r).occs.exists(o => o.fuzzy && o.suggestion != o.original))
+    ColumnResult(m.colIdx, sig, errors, m.repairs(errors))
   }
 }

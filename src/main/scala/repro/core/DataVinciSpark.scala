@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.pattern.{Group, MaskTok, Tok}
+import repro.core.repair.Predicates
 
 /** DataFrame-level DataVinci: learn a per-column model on the driver from a
   * (bounded) sample of the column, broadcast it, and apply detection/repair
@@ -32,22 +34,21 @@ object DataVinciSpark {
     */
   def learnColumnModel(values: Vector[String], cfg: DataVinci.Config = DataVinci.Config()): ColumnModel = {
     val table = Table.of("col" -> values)
-    val res   = DataVinci.cleanColumn(table, 0, cfg)
-    val mvs   = DataVinci.maskedValues(values, cfg)
+    val model = new PatternModel(table, 0, values.indices, cfg, Predicates.featuresOf(table))
+    val res   = DataVinci.cleanModel(model)
     // regexes over *unmasked* strings: substitute each mask token with the
     // alternation of surfaces observed in this column (token-level rebuild —
     // string surgery would break \Q...\E quoting)
-    val maskAlternation: Map[String, String] = mvs.flatMap(_.occs).groupBy(_.semType).map {
+    val maskAlternation: Map[String, String] = model.mvs.flatMap(_.occs).groupBy(_.semType).map {
       case (t, occs) =>
         t -> occs.map(o => java.util.regex.Pattern.quote(o.original)).distinct.sorted.mkString("(?:", "|", ")")
     }
-    import repro.core.pattern._
     def tokRegex(t: Tok): String = t match {
       case MaskTok(st) => maskAlternation.getOrElse(st, t.regex)
       case Group(ch)   => ch.map(tokRegex).mkString("(?:", "", ")+")
       case other       => other.regex
     }
-    val regexes = res.significant.map { case (p, _) => p.toks.map(tokRegex).mkString }
+    val regexes = model.significant.map { case (p, _) => p.toks.map(tokRegex).mkString }
     val repairMap = res.repairs.flatMap { case (r, cr) => cr.suggestion.map(values(r) -> _) }
     ColumnModel(regexes, repairMap, res.errors.map(values))
   }
@@ -65,14 +66,14 @@ object DataVinciSpark {
     val model = learnColumnModel(values, cfg)
     val bc = spark.sparkContext.broadcast(model)
 
-    val errUdf = udf { (v: String) =>
-      val m = bc.value; val s = Option(v).getOrElse(""); m.isError(s)
+    val errCol = s"${column}__error"
+    val errUdf = udf { (v: String) => bc.value.isError(Option(v).getOrElse("")) }
+    // the repair reads the error column, so each row's regexes run once
+    val repUdf = udf { (v: String, err: Boolean) =>
+      val s = Option(v).getOrElse("")
+      if (err) bc.value.repair(s).orNull else s
     }
-    val repUdf = udf { (v: String) =>
-      val m = bc.value; val s = Option(v).getOrElse("")
-      if (m.isError(s)) m.repair(s).orNull else s
-    }
-    df.withColumn(s"${column}__error", errUdf(col(column)))
-      .withColumn(s"${column}__repair", repUdf(col(column)))
+    df.withColumn(errCol, errUdf(col(column)))
+      .withColumn(s"${column}__repair", repUdf(col(column), col(errCol)))
   }
 }

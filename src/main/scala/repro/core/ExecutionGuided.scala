@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.core.pattern.PatternLearner
-import repro.core.repair.{Concretizer, Predicates}
+import repro.core.repair.Predicates
 import repro.formulas.{Errors, Expr, FormulaEval}
 
 /** Execution-guided repair (§3.6): run a column-transformation program over
@@ -37,41 +36,16 @@ object ExecutionGuided {
             cfg: DataVinci.Config = DataVinci.Config()): Result = {
     val before = failingRows(table, formula)
     if (before.isEmpty) return Result(before, before, Map.empty, table)
-
     lazy val feats = Predicates.featuresOf(table)
-    var repaired  = table
-    var allRepairs = Map.empty[(Int, Int), String]
-
-    for (c <- inputCols) {
-      val values = table.col(c).values
-      val mvs    = DataVinci.maskedValues(values, cfg)
-      val masked = mvs.map(_.masked)
-      val successMasked = masked.indices.filterNot(before).map(masked)
-
-      if (successMasked.nonEmpty) {
-        // every pattern learned over succeeding inputs is significant (§3.6)
-        val sig = PatternLearner.learn(successMasked, cfg.maxPatterns).patterns
-        if (sig.nonEmpty) {
-          val nonErrorValues = values.indices.filterNot(before).map(values).toVector
-          lazy val cons = sig.map { case (p, cov) =>
-            (p, cov, new Concretizer(table, feats, p, masked, mvs.map(_.occs.map(_.suggestion)), cfg.alpha))
-          }
-          for (r <- before.toVector.sorted) {
-            // a failing row's input is an error unless it already fits the
-            // success-side language (multi-column: the fault may be elsewhere)
-            if (!sig.exists(_._1.matches(masked(r)))) {
-              val cell = DataVinci.repairCell(r, values(r), mvs(r), cons, nonErrorValues, cfg)
-              cell.suggestion.foreach { s =>
-                allRepairs += (c, r) -> s
-                repaired = repaired.updated(c, r, s)
-              }
-            }
-          }
-        }
-      }
-    }
-
-    Result(before, failingRows(repaired, formula), allRepairs, repaired)
+    val succeeding = (0 until table.numRows).filterNot(before)
+    val repairs = inputCols.flatMap { c =>
+      // every pattern learned over succeeding inputs is significant (§3.6);
+      // a failing row's input is an error unless it already fits the
+      // success-side language (multi-column: the fault may be elsewhere)
+      val m = new PatternModel(table, c, succeeding, cfg.copy(delta = 0.0), feats)
+      m.repairs(m.misses(before)).flatMap { case (r, cr) => cr.suggestion.map((c, r) -> _) }
+    }.toMap
+    applied(table, formula, before, repairs)
   }
 
   /** The unsupervised comparison point: ordinary DataVinci cleaning of the
@@ -82,16 +56,18 @@ object ExecutionGuided {
                         cfg: DataVinci.Config = DataVinci.Config()): Result = {
     val before = failingRows(table, formula)
     if (before.isEmpty) return Result(before, before, Map.empty, table)
-    var repaired = table
-    var allRepairs = Map.empty[(Int, Int), String]
-    lazy val feats = Predicates.featuresOf(table)
-    for (c <- inputCols) {
-      val res = DataVinci.cleanColumn(table, c, cfg, Some(feats))
-      for (r <- res.errors if before.contains(r); s <- res.suggestionFor(r)) {
-        allRepairs += (c, r) -> s
-        repaired = repaired.updated(c, r, s)
-      }
-    }
-    Result(before, failingRows(repaired, formula), allRepairs, repaired)
+    val repairs = for {
+      (c, res) <- DataVinci.cleanColumns(table, inputCols, cfg)
+      r <- res.errors if before(r)
+      s <- res.suggestionFor(r)
+    } yield (c, r) -> s
+    applied(table, formula, before, repairs)
+  }
+
+  /** Apply `repairs` to `table` and evaluate the formula again. */
+  private def applied(table: Table, formula: Expr, before: Set[Int],
+                      repairs: Map[(Int, Int), String]): Result = {
+    val repaired = repairs.foldLeft(table) { case (t, ((c, r), s)) => t.updated(c, r, s) }
+    Result(before, failingRows(repaired, formula), repairs, repaired)
   }
 }

@@ -24,10 +24,6 @@ object PatternLearner {
     /** Patterns individually covering ≥ `delta` of the column. */
     def significant(delta: Double): Vector[(Pattern, Double)] =
       patterns.filter(_._2 >= delta)
-
-    /** True iff `v` matches any of the given patterns. */
-    def matchesAny(v: String, pats: Vector[(Pattern, Double)]): Boolean =
-      pats.exists(_._1.matches(v))
   }
 
   /** Learn patterns over `values` (multiplicities count toward coverage). */

@@ -52,11 +52,6 @@ final class Dag private[repair] (
     }
     out
   }
-
-  /** True iff the whole-pattern language accepts the empty traversal (never,
-    * since every pattern token consumes at least one character).
-    */
-  def acceptsEmpty: Boolean = ereach(0).contains(accept)
 }
 
 object Dag {

@@ -32,10 +32,26 @@ object EditDp {
     * (deletion-flavoured); [[minimalRepairs]] returns both for ranking.
     */
   def minimalRepair(dag: Dag, s: String, allowEdits: Boolean = true,
-                    preferLong: Boolean = true): Option[AbstractRepair] = {
+                    preferLong: Boolean = true): Option[AbstractRepair] =
+    solve(dag, s, allowEdits, Vector(preferLong)).headOption
+
+  /** Both tie-preference variants of the minimal repair (deduplicated):
+    * equal-cost programs can differ in whether an offending character is
+    * substituted or deleted — the ranker decides (§3.5).
+    */
+  def minimalRepairs(dag: Dag, s: String): Vector[AbstractRepair] =
+    solve(dag, s, allowEdits = true, Vector(true, false))
+
+  /** Fill COST/MOVES once, then backtrack from the accepting edge each
+    * `preferLong` tie-break picks (the tables do not depend on it). Equal
+    * picks give one repair; distinct picks give distinct step sequences,
+    * since the last step traverses the picked edge.
+    */
+  private def solve(dag: Dag, s: String, allowEdits: Boolean,
+                    preferLong: Vector[Boolean]): Vector[AbstractRepair] = {
     val m = dag.edges.length
     val n = s.length
-    if (m == 0) return None
+    if (m == 0) return Vector.empty
 
     val cost = Array.fill(n + 1, m)(Inf)
     val move = Array.ofDim[Byte](n + 1, m)
@@ -84,47 +100,38 @@ object EditDp {
     }
 
     val candidates = dag.acceptingEdges.toVector.map(j => (cost(n)(j), j)).filter(_._1 < Inf)
-    if (candidates.isEmpty) return None
+    if (candidates.isEmpty) return Vector.empty
     // tie-break on equal cost per `preferLong` (see minimalRepairs)
-    val (finalCost, bestJ) =
-      if (preferLong) candidates.minBy { case (c, j) => (c, -j) }
+    val picks = preferLong.map { long =>
+      if (long) candidates.minBy { case (c, j) => (c, -j) }
       else candidates.minBy { case (c, j) => (c, j) }
-
-    // backtrack
-    val steps = ArrayBuffer.empty[Step]
-    var i = n
-    var j = bestJ
-    var done = false
-    while (!done) {
-      move(i)(j) match {
-        case `M` | `S` =>
-          steps.prepend(Step(if (move(i)(j) == M) Move.MatchM else Move.Sub, j, i - 1))
-          val p = prev(i)(j); i -= 1
-          if (p == -1) done = true else j = p
-        case `I` =>
-          steps.prepend(Step(Move.Ins, j, -1))
-          val p = prev(i)(j)
-          if (p == -1) done = true else j = p
-        case `D` =>
-          steps.prepend(Step(Move.Del, j, i - 1))
-          i -= 1
-      }
     }
-    // any remaining prefix was deleted on the virtual start edge
-    for (k <- (i - 1) to 0 by -1) steps.prepend(Step(Move.Del, -1, k))
+    picks.distinct.map { case (finalCost, bestJ) =>
+      // backtrack
+      val steps = ArrayBuffer.empty[Step]
+      var i = n
+      var j = bestJ
+      var done = false
+      while (!done) {
+        move(i)(j) match {
+          case `M` | `S` =>
+            steps.prepend(Step(if (move(i)(j) == M) Move.MatchM else Move.Sub, j, i - 1))
+            val p = prev(i)(j); i -= 1
+            if (p == -1) done = true else j = p
+          case `I` =>
+            steps.prepend(Step(Move.Ins, j, -1))
+            val p = prev(i)(j)
+            if (p == -1) done = true else j = p
+          case `D` =>
+            steps.prepend(Step(Move.Del, j, i - 1))
+            i -= 1
+        }
+      }
+      // any remaining prefix was deleted on the virtual start edge
+      for (k <- (i - 1) to 0 by -1) steps.prepend(Step(Move.Del, -1, k))
 
-    val emitted = emit(dag, s, steps.toVector)
-    Some(AbstractRepair(finalCost, steps.toVector, emitted))
-  }
-
-  /** Both tie-preference variants of the minimal repair (deduplicated):
-    * equal-cost programs can differ in whether an offending character is
-    * substituted or deleted — the ranker decides (§3.5).
-    */
-  def minimalRepairs(dag: Dag, s: String): Vector[AbstractRepair] = {
-    val long  = minimalRepair(dag, s, preferLong = true)
-    val short = minimalRepair(dag, s, preferLong = false)
-    (long.toVector ++ short.toVector).distinctBy(_.steps)
+      AbstractRepair(finalCost, steps.toVector, emit(dag, s, steps.toVector))
+    }
   }
 
   /** Zero-cost alignment of a value in the pattern's language. */

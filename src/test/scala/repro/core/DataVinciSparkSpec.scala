@@ -47,6 +47,21 @@ class DataVinciSparkSpec extends SparkSpec {
       "outcome" -> out)
   }
 
+  test("repairColumn: repair is the model's repair when flagged, the value (\"\" for null) when clean") {
+    val irregular = Seq("alpha", "b-2 x", "C 3", "4.4.4", "ee_e!", "Ff9?", null).toDF("v")
+    val noPatterns = DataVinciSpark.repairColumn(irregular, "v").collect()
+    assert(noPatterns.forall(r => !r.getBoolean(1)))
+    assert(noPatterns.map(r => Option(r.getString(0)).getOrElse("") == r.getString(2)).forall(identity))
+
+    val codes = (Seq.tabulate(12)(i => s"C-$i") ++ Seq("C_7", null)).toDF("c")
+    val model = DataVinciSpark.learnColumnModel(Vector.tabulate(12)(i => s"C-$i") ++ Vector("C_7", ""))
+    for (r <- DataVinciSpark.repairColumn(codes, "c").collect()) {
+      val v = Option(r.getString(0)).getOrElse("")
+      assert(r.getBoolean(1) == model.isError(v), v)
+      assert(r.getString(2) == (if (model.isError(v)) model.repair(v).orNull else v), v)
+    }
+  }
+
   test("learnColumnModel produces concrete regexes for masked columns") {
     val values = Vector("US-123", "IN-292", "UK-021", "FR-456", "DE-777", "usa_837")
     val model = DataVinciSpark.learnColumnModel(values)
