@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.pattern.{Group, MaskTok, Tok}
 import repro.core.repair.Predicates
 
 /** DataFrame-level DataVinci: learn a per-column model on the driver from a
@@ -43,12 +42,13 @@ object DataVinciSpark {
       case (t, occs) =>
         t -> occs.map(o => java.util.regex.Pattern.quote(o.original)).distinct.sorted.mkString("(?:", "|", ")")
     }
+    import repro.core.pattern._
     def tokRegex(t: Tok): String = t match {
       case MaskTok(st) => maskAlternation.getOrElse(st, t.regex)
       case Group(ch)   => ch.map(tokRegex).mkString("(?:", "", ")+")
       case other       => other.regex
     }
-    val regexes = model.significant.map { case (p, _) => p.toks.map(tokRegex).mkString }
+    val regexes = res.significant.map { case (p, _) => p.toks.map(tokRegex).mkString }
     val repairMap = res.repairs.flatMap { case (r, cr) => cr.suggestion.map(values(r) -> _) }
     ColumnModel(regexes, repairMap, res.errors.map(values))
   }
