@@ -184,4 +184,61 @@ object Dag {
 
     new Dag(pattern, n, edges.result(), nState, cur, eps.result(), disjAlts.toMap)
   }
+
+  /** Number of pre-order ids `tok` takes: one, plus its children's for a group. */
+  private def size(tok: Tok): Int = tok match {
+    case Group(children) => 1 + children.map(size).sum
+    case _               => 1
+  }
+
+  /** The unrolled DAG of `pattern` for a value of length `n`, built from
+    * frontiers: each emitted token takes the ids of the edges that may come
+    * right before its first edge (-1 is the virtual start) and returns those
+    * that may come right after it. Returns the edges, each edge's predecessor
+    * list, the final frontier and the disjunction alternatives.
+    */
+  private[repair] def unroll(pattern: Pattern, n: Int)
+      : (Vector[Edge], Vector[Array[Int]], Vector[Int], Map[Int, Vector[String]]) = {
+    val edges    = Vector.newBuilder[Edge]
+    val preds    = Vector.newBuilder[Array[Int]]
+    val disjAlts = Map.newBuilder[Int, Vector[String]]
+    var nEdge    = 0
+
+    def edge(front: Vector[Int], label: EdgeLabel, slot: SlotKey,
+             disjId: Int = -1, disjAlt: Int = -1): Vector[Int] = {
+      edges += Edge(nEdge, -1, -1, label, slot, disjId, disjAlt)
+      preds += front.toArray
+      nEdge += 1
+      Vector(nEdge - 1)
+    }
+
+    def emit(tok: Tok, id: Int, front: Vector[Int], occ: Vector[Int]): Vector[Int] = tok match {
+      case Lit(s) =>
+        s.indices.foldLeft(front)((f, i) => edge(f, LitLabel(s(i)), SlotKey(id, occ, i)))
+      case Cls(cc, Some(m)) =>
+        (0 until m).foldLeft(front)((f, i) => edge(f, ClsLabel(cc), SlotKey(id, occ, i)))
+      case Cls(cc, None) =>
+        // one-or-more: unroll to depth max(1, n); may exit after every copy
+        (0 until math.max(1, n)).scanLeft(front)((f, i) => edge(f, ClsLabel(cc), SlotKey(id, occ, i))).tail.flatten.toVector
+      case Disj(alts) =>
+        disjAlts += id -> alts
+        alts.zipWithIndex.flatMap { case (alt, ai) =>
+          alt.indices.foldLeft(front)((f, i) => edge(f, LitLabel(alt(i)), SlotKey(id, occ, i), id, ai))
+        }
+      case MaskTok(t) =>
+        edge(front, MaskLabel(t), SlotKey(id, occ, 0))
+      case g @ Group(children) =>
+        // ⌈n / cycle⌉ copies sharing the children's ids; may exit after every copy
+        val r = math.max(1, math.ceil(n.toDouble / math.max(1, minCharLen(g))).toInt)
+        (0 until r).scanLeft(front)((f, c) => seq(children, id + 1, f, occ :+ c)).tail.flatten.toVector
+    }
+
+    def seq(toks: Vector[Tok], firstId: Int, front: Vector[Int], occ: Vector[Int]): Vector[Int] = {
+      var id = firstId
+      toks.foldLeft(front) { (f, t) => val out = emit(t, id, f, occ); id += size(t); out }
+    }
+
+    val last = seq(pattern.toks, 0, Vector(-1), Vector.empty)
+    (edges.result(), preds.result(), last, disjAlts.result())
+  }
 }
