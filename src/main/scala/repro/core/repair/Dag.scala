@@ -1,80 +1,32 @@
 package repro.core.repair
 
 import repro.core.pattern._
-import scala.collection.mutable
 
 /** The unrolled NFA-DAG of a pattern for a value of length `n` (§3.3).
   *
-  * The pattern is interpreted as an NFA whose edges consume one character;
-  * loops (one-or-more classes and quantified groups) are unrolled to depth
-  * ⌈len(v)/len(cycle)⌉, giving an acyclic graph. ε-edges connect loop-body
-  * exits to the loop exit; the DP works over char edges only, with
-  * predecessor sets computed through ε-closure.
+  * Every edge consumes one character. Loops (one-or-more classes and
+  * quantified groups) are unrolled to depth ⌈len(v)/len(cycle)⌉, giving an
+  * acyclic graph that the DP reads through predecessor lists.
+  *
+  * @param preds          per edge, the ids of the edges that may come right
+  *                       before it, in id order; -1 is the virtual start.
+  *                       Every id is smaller than the edge's own.
+  * @param acceptingEdges edges a traversal of the whole pattern may end on
   */
-final class Dag private[repair] (
+final class Dag private (
     val pattern: Pattern,
     val n: Int,
     val edges: Vector[Edge],
-    val numStates: Int,
-    val accept: Int,
-    val eps: Vector[(Int, Int)],
+    val preds: Array[Array[Int]],
+    val acceptingEdges: Set[Int],
     val disjAlts: Map[Int, Vector[String]],
 ) {
 
-  /** ε-reachable state set per state (forward, reflexive). */
-  lazy val ereach: Array[Set[Int]] = {
-    val out  = Array.fill(numStates)(Set.empty[Int])
-    val byFrom = eps.groupBy(_._1)
-    for (s <- (numStates - 1) to 0 by -1) {
-      var set = Set(s)
-      for ((_, t) <- byFrom.getOrElse(s, Vector.empty)) set ++= out(t)
-      out(s) = set
-    }
-    out
-  }
-
-  /** Edge ids whose source is ε-reachable from the start state. */
-  lazy val startEdges: Set[Int] =
-    edges.iterator.filter(e => ereach(0).contains(e.from)).map(_.id).toSet
-
-  /** Edge ids from which the accept state is ε-reachable after traversal. */
-  lazy val acceptingEdges: Set[Int] =
-    edges.iterator.filter(e => ereach(e.to).contains(accept)).map(_.id).toSet
-
-  /** Predecessor edges of each edge (via ε-closure). Topologically safe:
-    * every predecessor has a strictly smaller source state.
-    */
-  lazy val preds: Array[Array[Int]] = {
-    val out = Array.ofDim[Array[Int]](edges.length)
-    for (j <- edges.indices) {
-      val tail = edges(j).from
-      out(j) = edges.iterator.filter(e => ereach(e.to).contains(tail)).map(_.id).toArray
-    }
-    out
-  }
+  /** Edges a traversal may start on. */
+  def startEdges: Set[Int] = edges.indices.filter(preds(_).contains(-1)).toSet
 }
 
 object Dag {
-
-  /** Token tree with stable pre-order ids (shared across loop unrollings). */
-  private sealed trait ITok
-  private final case class ILeaf(tok: Tok, id: Int)                 extends ITok
-  private final case class IGroup(children: Vector[ITok], id: Int)  extends ITok
-
-  private def assignIds(toks: Vector[Tok], next: Int): (Vector[ITok], Int) = {
-    var id  = next
-    val out = toks.map {
-      case Group(children) =>
-        val gid = id; id += 1
-        val (cs, nx) = assignIds(children, id)
-        id = nx
-        IGroup(cs, gid)
-      case t =>
-        val tid = id; id += 1
-        ILeaf(t, tid)
-    }
-    (out, id)
-  }
 
   /** Minimum number of characters one traversal of `tok` consumes — the
     * paper's cycle length for unrolling.
@@ -88,125 +40,29 @@ object Dag {
     case Group(children) => children.map(minCharLen).sum
   }
 
-  /** Build the unrolled DAG of `pattern` for a value of length `n`. */
-  def build(pattern: Pattern, n: Int): Dag = {
-    val edges    = Vector.newBuilder[Edge]
-    val eps      = Vector.newBuilder[(Int, Int)]
-    val disjAlts = mutable.Map.empty[Int, Vector[String]]
-    var nState   = 1 // state 0 = start
-    var nEdge    = 0
-
-    def newState(): Int = { val s = nState; nState += 1; s }
-    def addEdge(from: Int, to: Int, label: EdgeLabel, slot: SlotKey,
-                disjId: Int = -1, disjAlt: Int = -1): Unit = {
-      edges += Edge(nEdge, from, to, label, slot, disjId, disjAlt)
-      nEdge += 1
-    }
-
-    def emit(itok: ITok, entry: Int, occ: Vector[Int]): Int = itok match {
-      case ILeaf(Lit(s), id) =>
-        var cur = entry
-        for ((ch, idx) <- s.zipWithIndex) {
-          val nxt = newState()
-          addEdge(cur, nxt, LitLabel(ch), SlotKey(id, occ, idx))
-          cur = nxt
-        }
-        cur
-
-      case ILeaf(Cls(cc, Some(m)), id) =>
-        var cur = entry
-        for (idx <- 0 until m) {
-          val nxt = newState()
-          addEdge(cur, nxt, ClsLabel(cc), SlotKey(id, occ, idx))
-          cur = nxt
-        }
-        cur
-
-      case ILeaf(Cls(cc, None), id) =>
-        // one-or-more: unroll to depth max(1, n); exits after every copy
-        val r    = math.max(1, n)
-        var cur  = entry
-        val ends = Vector.newBuilder[Int]
-        for (idx <- 0 until r) {
-          val nxt = newState()
-          addEdge(cur, nxt, ClsLabel(cc), SlotKey(id, occ, idx))
-          ends += nxt
-          cur = nxt
-        }
-        val exit = newState()
-        ends.result().foreach(e => eps += (e -> exit))
-        exit
-
-      case ILeaf(Disj(alts), id) =>
-        disjAlts(id) = alts
-        val ends = Vector.newBuilder[Int]
-        for ((alt, ai) <- alts.zipWithIndex) {
-          var cur = entry
-          for ((ch, idx) <- alt.zipWithIndex) {
-            val nxt = newState()
-            addEdge(cur, nxt, LitLabel(ch), SlotKey(id, occ, idx), disjId = id, disjAlt = ai)
-            cur = nxt
-          }
-          ends += cur
-        }
-        val exit = newState()
-        ends.result().foreach(e => eps += (e -> exit))
-        exit
-
-      case ILeaf(MaskTok(t), id) =>
-        val nxt = newState()
-        addEdge(entry, nxt, MaskLabel(t), SlotKey(id, occ, 0))
-        nxt
-
-      case ILeaf(t, _) =>
-        throw new IllegalStateException(s"unexpected token $t")
-
-      case IGroup(children, _) =>
-        val cycle = math.max(1, children.map { case ILeaf(t, _) => minCharLen(t); case g: IGroup => groupMin(g) }.sum)
-        val r     = math.max(1, math.ceil(n.toDouble / cycle).toInt)
-        var cur   = entry
-        val ends  = Vector.newBuilder[Int]
-        for (c <- 0 until r) {
-          for (child <- children) cur = emit(child, cur, occ :+ c)
-          ends += cur
-        }
-        val exit = newState()
-        ends.result().foreach(e => eps += (e -> exit))
-        exit
-    }
-
-    def groupMin(g: IGroup): Int =
-      g.children.map { case ILeaf(t, _) => minCharLen(t); case gg: IGroup => groupMin(gg) }.sum
-
-    val (itoks, _) = assignIds(pattern.toks, 0)
-    var cur = 0
-    for (it <- itoks) cur = emit(it, cur, Vector.empty)
-
-    new Dag(pattern, n, edges.result(), nState, cur, eps.result(), disjAlts.toMap)
-  }
-
   /** Number of pre-order ids `tok` takes: one, plus its children's for a group. */
   private def size(tok: Tok): Int = tok match {
     case Group(children) => 1 + children.map(size).sum
     case _               => 1
   }
 
-  /** The unrolled DAG of `pattern` for a value of length `n`, built from
-    * frontiers: each emitted token takes the ids of the edges that may come
-    * right before its first edge (-1 is the virtual start) and returns those
-    * that may come right after it. Returns the edges, each edge's predecessor
-    * list, the final frontier and the disjunction alternatives.
+  /** Build the unrolled DAG of `pattern` for a value of length `n`.
+    *
+    * Tokens are emitted from frontiers: each token takes the ids of the edges
+    * that may come right before its first edge and returns those that may
+    * come right after it. A new edge's predecessor list is the current
+    * frontier, and the final frontier is the set of accepting edges. Slots
+    * carry the tokens' pre-order ids, shared across loop copies.
     */
-  private[repair] def unroll(pattern: Pattern, n: Int)
-      : (Vector[Edge], Vector[Array[Int]], Vector[Int], Map[Int, Vector[String]]) = {
+  def build(pattern: Pattern, n: Int): Dag = {
     val edges    = Vector.newBuilder[Edge]
-    val preds    = Vector.newBuilder[Array[Int]]
+    val preds    = Array.newBuilder[Array[Int]]
     val disjAlts = Map.newBuilder[Int, Vector[String]]
     var nEdge    = 0
 
     def edge(front: Vector[Int], label: EdgeLabel, slot: SlotKey,
              disjId: Int = -1, disjAlt: Int = -1): Vector[Int] = {
-      edges += Edge(nEdge, -1, -1, label, slot, disjId, disjAlt)
+      edges += Edge(nEdge, label, slot, disjId, disjAlt)
       preds += front.toArray
       nEdge += 1
       Vector(nEdge - 1)
@@ -239,6 +95,6 @@ object Dag {
     }
 
     val last = seq(pattern.toks, 0, Vector(-1), Vector.empty)
-    (edges.result(), preds.result(), last, disjAlts.result())
+    new Dag(pattern, n, edges.result(), preds.result(), last.filter(_ >= 0).toSet, disjAlts.result())
   }
 }

@@ -11,7 +11,8 @@ import scala.collection.mutable.ArrayBuffer
   *                    min_{j'∈p(j)} cost(i-1, j') + [s(i) ∉ l(j)],  // M or S
   *                    cost(i-1, j) + 1 )                            // D
   *
-  * A virtual start "edge" carries cost(i, start) = i (leading deletions).
+  * A virtual start edge, id -1 in the DAG's predecessor lists, carries
+  * cost(i, -1) = i (leading deletions).
   * The answer is min over accepting edges of cost(n, ·); MOVES backpointers
   * reconstruct the minimal abstract edit program.
   */
@@ -23,89 +24,55 @@ object EditDp {
   private val M = 0: Byte; private val S = 1: Byte
   private val I = 2: Byte; private val D = 3: Byte
 
-  /** Minimal abstract edit program turning `s` into a member of the DAG's
-    * pattern language; `None` if the DAG has no edges.
-    * With `allowEdits = false` only match moves are permitted, i.e. the
-    * result is the zero-cost alignment of a value already in the language.
-    * `preferLong` resolves equal-cost accepting edges toward the longest
-    * traversal (substitution-flavoured repairs) vs the shortest
-    * (deletion-flavoured); [[minimalRepairs]] returns both for ranking.
+  /** Minimal abstract edit programs turning `s` into a member of the DAG's
+    * pattern language; empty if the DAG has no edges. Equal-cost programs can
+    * differ in whether an offending character is substituted or deleted, so
+    * both are returned for the ranker (§3.5), deduplicated: first the one
+    * ending on the last accepting edge of minimal cost (the longest
+    * traversal, substitution-flavoured), then the one ending on the first
+    * (deletion-flavoured). COST/MOVES are filled once for both.
     */
-  def minimalRepair(dag: Dag, s: String, allowEdits: Boolean = true,
-                    preferLong: Boolean = true): Option[AbstractRepair] =
-    solve(dag, s, allowEdits, Vector(preferLong)).headOption
-
-  /** Both tie-preference variants of the minimal repair (deduplicated):
-    * equal-cost programs can differ in whether an offending character is
-    * substituted or deleted — the ranker decides (§3.5).
-    */
-  def minimalRepairs(dag: Dag, s: String): Vector[AbstractRepair] =
-    solve(dag, s, allowEdits = true, Vector(true, false))
-
-  /** Fill COST/MOVES once, then backtrack from the accepting edge each
-    * `preferLong` tie-break picks (the tables do not depend on it). Equal
-    * picks give one repair; distinct picks give distinct step sequences,
-    * since the last step traverses the picked edge.
-    */
-  private def solve(dag: Dag, s: String, allowEdits: Boolean,
-                    preferLong: Vector[Boolean]): Vector[AbstractRepair] = {
+  def minimalRepairs(dag: Dag, s: String): Vector[AbstractRepair] = {
     val m = dag.edges.length
     val n = s.length
     if (m == 0) return Vector.empty
 
-    val cost = Array.fill(n + 1, m)(Inf)
+    val cost = Array.ofDim[Int](n + 1, m)
     val move = Array.ofDim[Byte](n + 1, m)
-    val prev = Array.fill(n + 1, m)(-1)
-    val editCost = if (allowEdits) 1 else Inf
+    val prev = Array.ofDim[Int](n + 1, m)
 
-    // cost of the virtual start pseudo-edge at layer i
-    def startCost(i: Int): Int =
-      if (i == 0) 0 else if (allowEdits) i else Inf
+    // cost at layer i of predecessor jp; the virtual start costs i deletions
+    def at(i: Int, jp: Int): Int = if (jp < 0) i else cost(i)(jp)
 
     for (i <- 0 to n; j <- 0 until m) {
-      val e     = dag.edges(j)
-      val isStart = dag.startEdges.contains(j)
+      val ps    = dag.preds(j)
       var best  = Inf
       var bMove = M
       var bPrev = -1
 
-      // M or S: consume s(i-1) while traversing j
       if (i >= 1) {
-        val mc = if (e.label.matches(s(i - 1))) 0 else editCost
-        if (mc < Inf) {
-          if (isStart && startCost(i - 1) + mc < best) {
-            best = startCost(i - 1) + mc; bMove = if (mc == 0) M else S; bPrev = -1
-          }
-          for (jp <- dag.preds(j)) {
-            val c = cost(i - 1)(jp)
-            if (c + mc < best) { best = c + mc; bMove = if (mc == 0) M else S; bPrev = jp }
-          }
+        // M or S: consume s(i-1) while traversing j
+        val mc = if (dag.edges(j).label.matches(s(i - 1))) 0 else 1
+        for (jp <- ps) {
+          val c = at(i - 1, jp) + mc
+          if (c < best) { best = c; bMove = if (mc == 0) M else S; bPrev = jp }
         }
         // D: delete s(i-1) after having traversed j
-        if (allowEdits && cost(i - 1)(j) + 1 < best) {
-          best = cost(i - 1)(j) + 1; bMove = D; bPrev = j
-        }
+        if (cost(i - 1)(j) + 1 < best) { best = cost(i - 1)(j) + 1; bMove = D; bPrev = j }
       }
 
       // I: traverse j by inserting its character, consuming nothing
-      if (allowEdits) {
-        if (isStart && startCost(i) + 1 < best) { best = startCost(i) + 1; bMove = I; bPrev = -1 }
-        for (jp <- dag.preds(j)) {
-          val c = cost(i)(jp)
-          if (c + 1 < best) { best = c + 1; bMove = I; bPrev = jp }
-        }
+      for (jp <- ps) {
+        val c = at(i, jp) + 1
+        if (c < best) { best = c; bMove = I; bPrev = jp }
       }
 
       cost(i)(j) = best; move(i)(j) = bMove; prev(i)(j) = bPrev
     }
 
-    val candidates = dag.acceptingEdges.toVector.map(j => (cost(n)(j), j)).filter(_._1 < Inf)
+    val candidates = dag.acceptingEdges.toVector.map(j => (cost(n)(j), j))
     if (candidates.isEmpty) return Vector.empty
-    // tie-break on equal cost per `preferLong` (see minimalRepairs)
-    val picks = preferLong.map { long =>
-      if (long) candidates.minBy { case (c, j) => (c, -j) }
-      else candidates.minBy { case (c, j) => (c, j) }
-    }
+    val picks = Vector(candidates.minBy { case (c, j) => (c, -j) }, candidates.minBy { case (c, j) => (c, j) })
     picks.distinct.map { case (finalCost, bestJ) =>
       // backtrack
       val steps = ArrayBuffer.empty[Step]
@@ -134,9 +101,11 @@ object EditDp {
     }
   }
 
-  /** Zero-cost alignment of a value in the pattern's language. */
+  /** Zero-cost alignment of a value in the pattern's language: the first
+    * minimal repair, when it costs nothing (it is then all match moves).
+    */
   def align(dag: Dag, s: String): Option[AbstractRepair] =
-    minimalRepair(dag, s, allowEdits = false).filter(_.cost == 0)
+    minimalRepairs(dag, s).headOption.filter(_.cost == 0)
 
   /** Forward emission: turn the step sequence into emit units, abstracting
     * disjunction occurrences in which no character was anchored by a match.

@@ -50,8 +50,8 @@ final case class MaskLabel(semType: String) extends EdgeLabel {
   * disjunction alternative so repairs can be abstracted to an alternative
   * *choice* when no character of the alternative was anchored by a match.
   */
-final case class Edge(id: Int, from: Int, to: Int, label: EdgeLabel,
-                      slot: SlotKey, disjId: Int = -1, disjAlt: Int = -1)
+final case class Edge(id: Int, label: EdgeLabel, slot: SlotKey,
+                      disjId: Int = -1, disjAlt: Int = -1)
 
 /** The moves of Table 1. */
 object Move extends Enumeration {

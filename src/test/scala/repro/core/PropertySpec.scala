@@ -15,9 +15,11 @@ class PropertySpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  private val country = Masks.charFor("country")
+
   private val simpleString: Gen[String] =
     Gen.chooseNum(0, 10).flatMap(n =>
-      Gen.listOfN(n, Gen.oneOf(Gen.alphaNumChar, Gen.oneOf('-', '_', '.', ':', ' '))).map(_.mkString))
+      Gen.listOfN(n, Gen.oneOf(Gen.alphaNumChar, Gen.oneOf('-', '_', '.', ':', ' ', country))).map(_.mkString))
 
   private val patterns: Gen[Pattern] = Gen.oneOf(
     Pattern(Lit("QUAL"), Lit("-"), Cls(CharClassT.Digit, Some(2))),
@@ -26,7 +28,26 @@ class PropertySpec extends AnyFunSuite {
     Pattern(Group(Vector(Lit("A"), Cls(CharClassT.Digit, Some(1)), Lit(".")))),
     Pattern(Disj(Vector("CAT", "PRO")), Lit("-"), Cls(CharClassT.Digit, Some(1))),
     Pattern(Lit("v"), Cls(CharClassT.Digit, None), Lit("."), Cls(CharClassT.Digit, None)),
+    Pattern(Group(Vector(Lit("a"), Group(Vector(Cls(CharClassT.Digit, Some(1))))))),
+    Pattern(Group(Vector(Cls(CharClassT.Upper, None), Lit("-")))),
+    Pattern(Group(Vector(Lit("x"), Cls(CharClassT.Digit, Some(1)))), Lit(".")),
+    Pattern(MaskTok("country"), Lit("-"), Cls(CharClassT.Digit, None)),
   )
+
+  /** A random member of `p`'s language. */
+  private def member(p: Pattern): Gen[String] = {
+    def tok(t: Tok): Gen[String] = t match {
+      case Lit(s)       => Gen.const(s)
+      case Cls(cc, len) => len.fold(Gen.chooseNum(1, 3))(Gen.const)
+                             .flatMap(k => Gen.listOfN(k, Gen.oneOf(cc.sample)).map(_.mkString))
+      case Disj(alts)   => Gen.oneOf(alts)
+      case m: MaskTok   => Gen.const(m.maskChar.toString)
+      case Group(ts)    => Gen.chooseNum(1, 3).flatMap(k => Gen.listOfN(k, seq(ts)).map(_.mkString))
+    }
+    def seq(ts: Vector[Tok]): Gen[String] =
+      ts.foldLeft(Gen.const(""))((acc, t) => for (a <- acc; b <- tok(t)) yield a + b)
+    seq(p.toks)
+  }
 
   /** Resolve abstract units with the first class/alternative candidate. */
   private def naive(r: repro.core.repair.AbstractRepair): String =
@@ -39,19 +60,26 @@ class PropertySpec extends AnyFunSuite {
 
   test("minimal repairs always land in the pattern language") {
     checkProp(Prop.forAll(patterns, simpleString) { (p, s) =>
-      EditDp.minimalRepair(Dag.build(p, s.length), s).forall(r => p.matches(naive(r)))
+      EditDp.minimalRepairs(Dag.build(p, s.length), s).headOption.forall(r => p.matches(naive(r)))
     })
   }
 
   test("values already in the language repair at cost zero") {
     checkProp(Prop.forAll(patterns, simpleString) { (p, s) =>
-      !p.matches(s) || EditDp.minimalRepair(Dag.build(p, s.length), s).exists(_.cost == 0)
+      !p.matches(s) || EditDp.minimalRepairs(Dag.build(p, s.length), s).headOption.exists(_.cost == 0)
     })
+  }
+
+  test("alignment succeeds exactly on values in the pattern language") {
+    val g = for (p <- patterns; s <- Gen.oneOf(simpleString, member(p))) yield (p, s)
+    checkProp(Prop.forAll(g) { case (p, s) =>
+      EditDp.align(Dag.build(p, s.length), s).isDefined == p.matches(s)
+    }, n = 500)
   }
 
   test("repair cost is bounded by delete-all + insert-result") {
     checkProp(Prop.forAll(patterns, simpleString) { (p, s) =>
-      EditDp.minimalRepair(Dag.build(p, s.length), s).forall { r =>
+      EditDp.minimalRepairs(Dag.build(p, s.length), s).headOption.forall { r =>
         r.cost <= s.length + naive(r).length
       }
     })
@@ -59,7 +87,7 @@ class PropertySpec extends AnyFunSuite {
 
   test("repair cost never exceeds Levenshtein to the resolved repair") {
     checkProp(Prop.forAll(patterns, simpleString) { (p, s) =>
-      EditDp.minimalRepair(Dag.build(p, s.length), s).forall { r =>
+      EditDp.minimalRepairs(Dag.build(p, s.length), s).headOption.forall { r =>
         r.cost <= Strings.lev(s, naive(r))
       }
     })

@@ -10,13 +10,16 @@ class DagSpec extends AnyFunSuite {
     val d = Dag.build(Pattern(Lit("abc")), 3)
     assert(d.edges.size == 3)
     assert(d.edges.map(_.label) == Vector(LitLabel('a'), LitLabel('b'), LitLabel('c')))
-    assert(d.accept == d.edges.last.to)
+    assert(d.preds.map(_.toVector).toVector == Vector(Vector(-1), Vector(0), Vector(1)))
+    assert(d.startEdges == Set(0))
+    assert(d.acceptingEdges == Set(2))
   }
 
-  test("edges always advance to fresh states (topological by construction)") {
+  test("every predecessor id is smaller than its edge id (topological by construction)") {
     val d = Dag.build(Pattern(MaskTok("country"), Lit("-"), Cls(Digit, None), Disj(Vector("CAT", "PRO"))), 8)
-    assert(d.edges.forall(e => e.to > e.from))
-    assert(d.eps.forall { case (f, t) => t > f })
+    assert(d.edges.indices.forall(j => d.preds(j).nonEmpty && d.preds(j).forall(_ < j)))
+    val g = Dag.build(Pattern(Group(Vector(Lit("a"), Group(Vector(Cls(Digit, None))))), Lit("!")), 6)
+    assert(g.edges.indices.forall(j => g.preds(j).nonEmpty && g.preds(j).forall(_ < j)))
   }
 
   test("fixed-length class produces exactly n edges") {
@@ -28,8 +31,9 @@ class DagSpec extends AnyFunSuite {
   test("one-or-more class unrolls to value length with exits") {
     val d = Dag.build(Pattern(Cls(Digit, None)), 5)
     assert(d.edges.size == 5)
-    assert(d.eps.size == 5) // every copy can exit
-    assert(d.acceptingEdges == d.edges.map(_.id).toSet)
+    assert(d.preds.map(_.toVector).toVector == Vector(Vector(-1), Vector(0), Vector(1), Vector(2), Vector(3)))
+    assert(d.startEdges == Set(0))
+    assert(d.acceptingEdges == Set(0, 1, 2, 3, 4)) // every copy can exit
   }
 
   test("zero-length value still yields at least one edge per token") {
@@ -43,6 +47,10 @@ class DagSpec extends AnyFunSuite {
     assert(d.edges.forall(_.disjId == 0))
     assert(d.edges.map(_.disjAlt).toSet == Set(0, 1))
     assert(d.disjAlts(0) == Vector("CAT", "PRO"))
+    // C-A-T is edges 0-2, P-R-O is edges 3-5
+    assert(d.preds.map(_.toVector).toVector ==
+      Vector(Vector(-1), Vector(0), Vector(1), Vector(-1), Vector(3), Vector(4)))
+    assert(d.acceptingEdges == Set(2, 5))
   }
 
   test("group unrolls ceil(n / cycle) times") {
@@ -62,21 +70,22 @@ class DagSpec extends AnyFunSuite {
   test("startEdges include all first-token edges") {
     val d = Dag.build(Pattern(Disj(Vector("CAT", "PRO"))), 3)
     // first char edge of each alternative
-    assert(d.startEdges == d.edges.filter(_.from == 0).map(_.id).toSet)
+    assert(d.startEdges == Set(0, 3))
   }
 
-  test("accepting edges are those reaching accept via epsilon") {
+  test("accepting edges are the copies a trailing one-or-more class may exit from") {
     val d = Dag.build(Pattern(Lit("ab"), Cls(Digit, None)), 3)
-    val accepting = d.acceptingEdges
-    // only class edges can be last (every copy has an eps to exit)
-    assert(d.edges.filter(e => accepting(e.id)).forall(_.label.isInstanceOf[ClsLabel]))
+    // a, b, then three class copies, each of which can be last
+    assert(d.acceptingEdges == Set(2, 3, 4))
+    assert(d.edges.filter(e => d.acceptingEdges(e.id)).forall(_.label.isInstanceOf[ClsLabel]))
   }
 
-  test("preds follow epsilon closure across group copies") {
+  test("preds reach across group copies") {
     val d = Dag.build(Pattern(Group(Vector(Lit("x"))), Lit("!")), 2)
     val bang = d.edges.find(_.label == LitLabel('!')).get
     // '!' can follow either copy of 'x'
-    assert(d.preds(bang.id).length == 2)
+    assert(d.preds(bang.id).toVector == Vector(0, 1))
+    assert(d.acceptingEdges == Set(bang.id))
   }
 
   test("nested group unrolls recursively") {

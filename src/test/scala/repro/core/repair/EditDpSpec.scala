@@ -11,7 +11,7 @@ class EditDpSpec extends AnyFunSuite {
   import CharClassT._
 
   private def repair(p: Pattern, v: String): AbstractRepair =
-    EditDp.minimalRepair(Dag.build(p, v.length), v).get
+    EditDp.minimalRepairs(Dag.build(p, v.length), v).head
 
   /** Resolve abstract units naively (first class char / first alternative). */
   private def naive(r: AbstractRepair): String =
