@@ -52,7 +52,7 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
     val original = values(row)
     val mv = mvs(row)
     val cands = concretizers.flatMap { case (p, cov, con) =>
-      val dag = Dag.build(p, mv.masked.length)
+      val dag = con.dag(mv.masked.length)
       EditDp.minimalRepairs(dag, mv.masked).flatMap { rep =>
         val edits = PatternModel.alnumEdits(dag, rep, mv.masked)
         concretize(rep, con, row, mv).map(s => Ranker.Candidate(s, p.pretty, cov, edits, rep.cost))
@@ -79,12 +79,8 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
       val opts: Vector[String] = unit match {
         case EChar(c) =>
           Vector(if (Masks.isMask(c)) ownSuggestion(mv.masked.indexOf(c)) else c.toString)
-        case u: ECls  => if (learned) Vector(con.concretizeCls(u, row).toString) else con.enumerateCls(u)
-        case u: EDisj => if (learned) Vector(con.concretizeDisj(u, row)) else con.enumerateDisj(u)
-        case u: EMask => u.fromInput match {
-          case Some(pos) => Vector(ownSuggestion(pos))
-          case None      => if (learned) Vector(con.concretizeMask(u, row)) else con.enumerateMask(u)
-        }
+        case EMask(_, _, Some(pos)) => Vector(ownSuggestion(pos))
+        case u => if (learned) Vector(con.concretize(u, row)) else con.enumerate(u)
       }
       acc.flatMap(p => opts.map(p + _)).take(cfg.maxCandidates)
     }.distinct

@@ -10,10 +10,10 @@ import scala.collection.mutable
   * For every abstract slot (character class, disjunction occurrence, or
   * semantic mask) we collect training examples from the rows whose value
   * matches the pattern — the label is the character / alternative / entity
-  * suggestion that allowed the transition — and learn a small decision tree
-  * over the table's predicate features. Prediction falls back to the
-  * majority label at the slot, then at the token, when no tree reaches the
-  * accuracy threshold α.
+  * suggestion that allowed the transition — in one table keyed by slot, and
+  * learn a small decision tree per slot over the table's predicate
+  * features. Prediction falls back to the majority label at the slot, then
+  * at the token, when no tree reaches the accuracy threshold α.
   */
 final class Concretizer(
     table: Table,
@@ -28,129 +28,95 @@ final class Concretizer(
   val matchingRows: Vector[Int] =
     maskedValues.indices.toVector.filter(r => pattern.matches(maskedValues(r)))
 
-  private val dagCache = mutable.Map.empty[Int, Dag]
-  private def dagFor(len: Int): Dag = dagCache.getOrElseUpdate(len, Dag.build(pattern, len))
+  private val dags = mutable.Map.empty[Int, Dag]
 
-  private val caps: Map[Int, EditDp.Captures] =
-    matchingRows.flatMap { r =>
-      EditDp.captures(dagFor(maskedValues(r).length), maskedValues(r)).map(r -> _)
-    }.toMap
+  /** The pattern's DAG for values of length `len`, built once per length. */
+  private[core] def dag(len: Int): Dag = dags.getOrElseUpdate(len, Dag.build(pattern, len))
 
   // ---- training examples -------------------------------------------------
 
-  private lazy val clsBySlot: Map[SlotKey, Vector[(Int, String)]] =
-    caps.toVector.flatMap { case (r, c) => c.clsChars.map { case (s, ch) => (s, r, ch.toString) } }
-      .groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
-
-  private lazy val clsByTok: Map[Int, Vector[(Int, String)]] =
-    clsBySlot.toVector.flatMap { case (s, ex) => ex.map(e => (s.tokId, e)) }
-      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-
-  private lazy val disjByOcc: Map[(Int, Vector[Int]), Vector[(Int, String)]] =
-    caps.toVector.flatMap { case (r, c) =>
-      c.disjChoice.map { case ((d, occ), alt) => ((d, occ), r, alt) }
-    }.groupBy(_._1).view.mapValues(_.map(t => (t._2, altString(t._1._1, t._3)))).toMap
-
-  private lazy val disjByTok: Map[Int, Vector[(Int, String)]] =
-    disjByOcc.toVector.flatMap { case ((d, _), ex) => ex.map(e => (d, e)) }
-      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-
-  private def altString(disjId: Int, altIdx: Int): String = {
-    val dag = dagCache.values.headOption.getOrElse(dagFor(1))
-    dag.disjAlts(disjId)(altIdx)
-  }
-
-  private lazy val maskBySlot: Map[SlotKey, Vector[(Int, String)]] =
-    caps.toVector.flatMap { case (r, c) =>
-      c.maskAt.flatMap { case (slot, pos) =>
-        val occIdx = maskedValues(r).take(pos).count(Masks.isMask)
-        maskSuggestions(r).lift(occIdx).map(sug => (slot, r, sug))
+  /** Examples (row, label) per abstract slot, from the captures of every
+    * matching row: a class slot is labelled with the consumed character, a
+    * disjunction occurrence `SlotKey(disjId, occ, 0)` with the chosen
+    * alternative, and a mask slot with the row's entity suggestion.
+    */
+  private val bySlot: Map[SlotKey, Vector[(Int, String)]] =
+    matchingRows.flatMap { r =>
+      val v = maskedValues(r)
+      EditDp.captures(dag(v.length), v).toVector.flatMap { c =>
+        c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++
+          c.disjChoice.map { case (slot, alt) => (slot, r, alt) } ++
+          c.maskAt.flatMap { case (slot, pos) =>
+            maskSuggestions(r).lift(v.take(pos).count(Masks.isMask)).map(sug => (slot, r, sug))
+          }
       }
     }.groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
 
-  private lazy val maskByTok: Map[Int, Vector[(Int, String)]] =
-    maskBySlot.toVector.flatMap { case (s, ex) => ex.map(e => (s.tokId, e)) }
-      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+  /** The same examples per token; token ids are unique, so kinds never mix. */
+  private lazy val byTok: Map[Int, Vector[(Int, String)]] =
+    bySlot.toVector.groupMap(_._1.tokId)(_._2).view.mapValues(_.flatten).toMap
 
-  // ---- tree cache --------------------------------------------------------
+  // ---- prediction --------------------------------------------------------
 
-  private val trees = mutable.Map.empty[(String, Any), Option[DecisionTree.DTree]]
+  private val trees = mutable.Map.empty[SlotKey, Option[DecisionTree.DTree]]
 
-  private def treeFor(kind: String, key: Any, examples: Vector[(Int, String)]): Option[DecisionTree.DTree] =
-    trees.getOrElseUpdate((kind, key), DecisionTree.learn(feats, examples, alpha))
+  /** Labels of `ex`, most frequent first (ties by label). */
+  private def ranked(ex: Vector[(Int, String)]): Vector[String] =
+    ex.groupBy(_._2).view.mapValues(_.size).toVector.sortBy { case (l, c) => (-c, l) }.map(_._1)
 
-  private def majority(ex: Vector[(Int, String)]): Option[String] =
-    if (ex.isEmpty) None
-    else Some(ex.groupBy(_._2).view.mapValues(_.size).toVector
-      .sortBy { case (l, c) => (-c, l) }.head._1)
-
-  private def predict(kind: String, key: Any, bySlot: Vector[(Int, String)],
-                      byTok: Vector[(Int, String)], row: Int): Option[String] = {
-    val slotPred = treeFor(kind, key, bySlot).map(_.predict(row, feats))
-    slotPred
-      .orElse(majority(bySlot))
-      .orElse(majority(byTok))
+  /** The slot's decision tree at `row`, else the slot's majority label, else
+    * the token's.
+    */
+  private def predict(slot: SlotKey, row: Int): Option[String] = {
+    val ex = bySlot.getOrElse(slot, Vector.empty)
+    trees.getOrElseUpdate(slot, DecisionTree.learn(feats, ex, alpha)).map(_.predict(row, feats))
+      .orElse(ranked(ex).headOption)
+      .orElse(ranked(byTok.getOrElse(slot.tokId, Vector.empty)).headOption)
   }
+
+  /** Labels observed at a slot (at its token when the slot has none), most
+    * frequent first.
+    */
+  private def observed(slot: SlotKey): Vector[String] =
+    ranked(bySlot.getOrElse(slot, byTok.getOrElse(slot.tokId, Vector.empty)))
 
   // ---- public API --------------------------------------------------------
 
-  /** Concretize an abstract character-class emission for an error row.
-    * A substitution first tries to *transfer the consumed input character*
-    * into the class — case fold and visual-typo inverse (`0↔o`, `1↔l`, …) —
-    * which is what recovers capitalization flips and look-alike typos
-    * exactly; learned constraints and majority labels are the fallback.
+  /** Concretize an abstract unit for an error row. A class substitution
+    * first tries to *transfer the consumed input character* into the class
+    * — case fold and visual-typo inverse (`0↔o`, `1↔l`, …) — which is what
+    * recovers capitalization flips and look-alike typos exactly. Otherwise
+    * the learned constraint or majority label applies, and without examples
+    * the class's first character, the first alternative, or the mask symbol.
+    * Masks reach here only when the edit program introduced them; masks
+    * carried over from the input keep their own LLM suggestion.
     */
-  def concretizeCls(unit: ECls, row: Int): Char = {
-    unit.from.flatMap(Concretizer.foldInto(_, unit.cc)) match {
-      case Some(c) => c
-      case None =>
-        val slotEx = clsBySlot.getOrElse(unit.slot, Vector.empty)
-        val tokEx  = clsByTok.getOrElse(unit.slot.tokId, Vector.empty)
-        predict("cls", unit.slot, slotEx, tokEx, row)
-          .flatMap(_.headOption)
-          .getOrElse(unit.cc.sample.head)
-    }
+  def concretize(unit: EmitUnit, row: Int): String = unit match {
+    case u: ECls =>
+      u.from.flatMap(Concretizer.foldInto(_, u.cc))
+        .orElse(predict(u.slot, row).flatMap(_.headOption))
+        .getOrElse(u.cc.sample.head).toString
+    case u: EDisj => predict(SlotKey(u.disjId, u.occ, 0), row).getOrElse(u.alts.head)
+    case u: EMask => predict(u.slot, row).getOrElse(Masks.charFor(u.semType).toString)
+    case EChar(c) => c.toString
   }
 
-  /** Concretize an abstract disjunction choice for an error row. */
-  def concretizeDisj(unit: EDisj, row: Int): String = {
-    val occEx = disjByOcc.getOrElse((unit.disjId, unit.occ), Vector.empty)
-    val tokEx = disjByTok.getOrElse(unit.disjId, Vector.empty)
-    predict("disj", (unit.disjId, unit.occ), occEx, tokEx, row)
-      .getOrElse(unit.alts.head)
-  }
-
-  /** Concretize a semantic mask that was *introduced* by the edit program
-    * (masks carried over from the input keep their own LLM suggestion).
+  /** Enumeration mode (the "no learned concretization" ablation): every
+    * candidate for an abstract unit. For a class, the input-derived fold,
+    * then the observed characters, most frequent first, then the class's
+    * others (at most 8); every alternative of a disjunction; the observed
+    * entity suggestions of a mask (at most 6).
     */
-  def concretizeMask(unit: EMask, row: Int): String = {
-    val slotEx = maskBySlot.getOrElse(unit.slot, Vector.empty)
-    val tokEx  = maskByTok.getOrElse(unit.slot.tokId, Vector.empty)
-    predict("mask", unit.slot, slotEx, tokEx, row)
-      .getOrElse(Masks.charFor(unit.semType).toString)
-  }
-
-  // ---- enumeration mode (the "no learned concretization" ablation) -------
-
-  /** All candidate strings for a class slot, most frequent captured first
-    * (the input-derived fold, when available, leads the list).
-    */
-  def enumerateCls(unit: ECls, cap: Int = 8): Vector[String] = {
-    val fold = unit.from.flatMap(Concretizer.foldInto(_, unit.cc)).map(_.toString).toVector
-    val observed = clsBySlot.getOrElse(unit.slot, clsByTok.getOrElse(unit.slot.tokId, Vector.empty))
-      .groupBy(_._2).view.mapValues(_.size).toVector.sortBy { case (l, c) => (-c, l) }.map(_._1)
-    val rest = unit.cc.sample.map(_.toString).filterNot(observed.contains)
-    (fold ++ observed ++ rest).distinct.take(cap)
-  }
-
-  /** All alternatives of a disjunction occurrence. */
-  def enumerateDisj(unit: EDisj): Vector[String] = unit.alts
-
-  /** All distinct entity suggestions observed for a mask slot. */
-  def enumerateMask(unit: EMask, cap: Int = 6): Vector[String] = {
-    val observed = maskBySlot.getOrElse(unit.slot, maskByTok.getOrElse(unit.slot.tokId, Vector.empty))
-      .groupBy(_._2).view.mapValues(_.size).toVector.sortBy { case (l, c) => (-c, l) }.map(_._1)
-    if (observed.isEmpty) Vector(Masks.charFor(unit.semType).toString) else observed.take(cap)
+  def enumerate(unit: EmitUnit): Vector[String] = unit match {
+    case u: ECls =>
+      val fold = u.from.flatMap(Concretizer.foldInto(_, u.cc)).map(_.toString).toVector
+      val seen = observed(u.slot)
+      (fold ++ seen ++ u.cc.sample.map(_.toString).filterNot(seen.contains)).distinct.take(8)
+    case u: EDisj => u.alts
+    case u: EMask =>
+      val seen = observed(u.slot)
+      if (seen.isEmpty) Vector(Masks.charFor(u.semType).toString) else seen.take(6)
+    case EChar(c) => Vector(c.toString)
   }
 }
 

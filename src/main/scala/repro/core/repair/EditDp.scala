@@ -147,11 +147,12 @@ object EditDp {
     * signal for concretization constraints (§3.4).
     *
     * @param clsChars   per class-slot, the consumed character
-    * @param disjChoice per disjunction occurrence, the chosen alternative
+    * @param disjChoice per disjunction occurrence `SlotKey(disjId, occ, 0)`,
+    *                   the chosen alternative
     * @param maskAt     per mask slot, the input position of the consumed mask
     */
   final case class Captures(clsChars: Map[SlotKey, Char],
-                            disjChoice: Map[(Int, Vector[Int]), Int],
+                            disjChoice: Map[SlotKey, String],
                             maskAt: Map[SlotKey, Int])
 
   /** Extract captures of a matching value; `None` when `s` is not in the
@@ -160,7 +161,7 @@ object EditDp {
   def captures(dag: Dag, s: String): Option[Captures] =
     align(dag, s).map { r =>
       var cls  = Map.empty[SlotKey, Char]
-      var disj = Map.empty[(Int, Vector[Int]), Int]
+      var disj = Map.empty[SlotKey, String]
       var mask = Map.empty[SlotKey, Int]
       for (st <- r.steps if st.move == Move.MatchM) {
         val e = dag.edges(st.edge)
@@ -169,7 +170,7 @@ object EditDp {
           case MaskLabel(_) => mask += e.slot -> st.inIdx
           case LitLabel(_)  => ()
         }
-        if (e.disjId >= 0) disj += (e.disjId, e.slot.occ) -> e.disjAlt
+        if (e.disjId >= 0) disj += SlotKey(e.disjId, e.slot.occ, 0) -> dag.disjAlts(e.disjId)(e.disjAlt)
       }
       Captures(cls, disj, mask)
     }
