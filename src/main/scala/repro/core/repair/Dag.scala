@@ -14,8 +14,6 @@ import repro.core.pattern._
   * @param acceptingEdges edges a traversal of the whole pattern may end on
   */
 final class Dag private (
-    val pattern: Pattern,
-    val n: Int,
     val edges: Vector[Edge],
     val preds: Array[Array[Int]],
     val acceptingEdges: Set[Int],
@@ -95,6 +93,6 @@ object Dag {
     }
 
     val last = seq(pattern.toks, 0, Vector(-1), Vector.empty)
-    new Dag(pattern, n, edges.result(), preds.result(), last.filter(_ >= 0).toSet, disjAlts.result())
+    new Dag(edges.result(), preds.result(), last.filter(_ >= 0).toSet, disjAlts.result())
   }
 }
