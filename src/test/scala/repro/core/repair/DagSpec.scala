@@ -15,7 +15,7 @@ class DagSpec extends AnyFunSuite {
     assert(d.acceptingEdges == Set(2))
   }
 
-  test("every predecessor id is smaller than its edge id (topological by construction)") {
+  test("predecessor ids are smaller than edge ids (topological)") {
     val d = Dag.build(Pattern(MaskTok("country"), Lit("-"), Cls(Digit, None), Disj(Vector("CAT", "PRO"))), 8)
     assert(d.edges.indices.forall(j => d.preds(j).nonEmpty && d.preds(j).forall(_ < j)))
     val g = Dag.build(Pattern(Group(Vector(Lit("a"), Group(Vector(Cls(Digit, None))))), Lit("!")), 6)
@@ -73,7 +73,7 @@ class DagSpec extends AnyFunSuite {
     assert(d.startEdges == Set(0, 3))
   }
 
-  test("accepting edges are the copies a trailing one-or-more class may exit from") {
+  test("accepting edges are every copy of a trailing one-or-more class") {
     val d = Dag.build(Pattern(Lit("ab"), Cls(Digit, None)), 3)
     // a, b, then three class copies, each of which can be last
     assert(d.acceptingEdges == Set(2, 3, 4))
