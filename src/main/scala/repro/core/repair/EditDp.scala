@@ -44,7 +44,7 @@ object EditDp {
     // cost at layer i of predecessor jp; the virtual start costs i deletions
     def at(i: Int, jp: Int): Int = if (jp < 0) i else cost(i)(jp)
 
-    // while loops: this runs for every matching row of every concretizer
+    // while loops: no closure or boxed accumulator per cell
     var i = 0
     while (i <= n) {
       var j = 0
@@ -112,11 +112,25 @@ object EditDp {
     }
   }
 
-  /** Zero-cost alignment of a value in the pattern's language: the first
-    * minimal repair, when it costs nothing (it is then all match moves).
+  /** Zero-cost alignment of a value in the pattern's language; `None` when
+    * `s` is not in it. This is the repair [[minimalRepairs]] returns first
+    * for such a value, all match moves, found without edit costs: it ends on
+    * the last accepting edge, and each edge follows its first aligned
+    * predecessor. Captures run it on every matching row.
     */
-  def align(dag: Dag, s: String): Option[AbstractRepair] =
-    minimalRepairs(dag, s).headOption.filter(_.cost == 0)
+  def align(dag: Dag, s: String): Option[AbstractRepair] = {
+    val n = s.length
+    // ok(i)(j): match moves consume s.take(i) and end on edge j
+    val ok = Array.ofDim[Boolean](n + 1, dag.edges.length)
+    def okAt(i: Int, jp: Int): Boolean = if (jp < 0) i == 0 else ok(i)(jp)
+    for (i <- 1 to n; j <- dag.edges.indices)
+      ok(i)(j) = dag.edges(j).label.matches(s(i - 1)) && dag.preds(j).exists(okAt(i - 1, _))
+    dag.acceptingEdges.filter(ok(n)(_)).maxOption.map { last =>
+      val path  = (n until 1 by -1).scanLeft(last)((j, i) => dag.preds(j).find(okAt(i - 1, _)).get).reverse
+      val steps = path.zipWithIndex.map { case (j, k) => Step(Move.MatchM, j, k) }.toVector
+      AbstractRepair(0, steps, emit(dag, s, steps))
+    }
+  }
 
   /** Forward emission: turn the step sequence into emit units, abstracting
     * disjunction occurrences in which no character was anchored by a match.

@@ -73,7 +73,10 @@ class PropertySpec extends AnyFunSuite {
   test("alignment succeeds exactly on values in the pattern language") {
     val g = for (p <- patterns; s <- Gen.oneOf(simpleString, member(p))) yield (p, s)
     checkProp(Prop.forAll(g) { case (p, s) =>
-      EditDp.align(Dag.build(p, s.length), s).isDefined == p.matches(s)
+      val dag = Dag.build(p, s.length)
+      val a   = EditDp.align(dag, s)
+      // and it is the zero-cost repair the edit DP returns first
+      a.isDefined == p.matches(s) && a == EditDp.minimalRepairs(dag, s).headOption.filter(_.cost == 0)
     }, n = 500)
   }
 
