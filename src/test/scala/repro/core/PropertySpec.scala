@@ -32,6 +32,8 @@ class PropertySpec extends AnyFunSuite {
     Pattern(Group(Vector(Cls(CharClassT.Upper, None), Lit("-")))),
     Pattern(Group(Vector(Lit("x"), Cls(CharClassT.Digit, Some(1)))), Lit(".")),
     Pattern(MaskTok("country"), Lit("-"), Cls(CharClassT.Digit, None)),
+    // adjacent one-or-more classes: a value has several alignments
+    Pattern(Cls(CharClassT.Lower, None), Cls(CharClassT.AlphaNum, None)),
   )
 
   /** A random member of `p`'s language. */
