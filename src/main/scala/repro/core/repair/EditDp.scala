@@ -44,41 +44,30 @@ object EditDp {
     // cost at layer i of predecessor jp; the virtual start costs i deletions
     def at(i: Int, jp: Int): Int = if (jp < 0) i else cost(i)(jp)
 
-    // while loops: no closure or boxed accumulator per cell
-    var i = 0
-    while (i <= n) {
-      var j = 0
-      while (j < m) {
-        val ps    = dag.preds(j)
-        var best  = Inf
-        var bMove = M
-        var bPrev = -1
-        var k     = 0
+    for (i <- 0 to n; j <- 0 until m) {
+      val ps    = dag.preds(j)
+      var best  = Inf
+      var bMove = M
+      var bPrev = -1
 
-        if (i >= 1) {
-          // M or S: consume s(i-1) while traversing j
-          val mc = if (dag.edges(j).label.matches(s(i - 1))) 0 else 1
-          while (k < ps.length) {
-            val c = at(i - 1, ps(k)) + mc
-            if (c < best) { best = c; bMove = if (mc == 0) M else S; bPrev = ps(k) }
-            k += 1
-          }
-          // D: delete s(i-1) after having traversed j
-          if (cost(i - 1)(j) + 1 < best) { best = cost(i - 1)(j) + 1; bMove = D; bPrev = j }
+      if (i >= 1) {
+        // M or S: consume s(i-1) while traversing j
+        val mc = if (dag.edges(j).label.matches(s(i - 1))) 0 else 1
+        for (jp <- ps) {
+          val c = at(i - 1, jp) + mc
+          if (c < best) { best = c; bMove = if (mc == 0) M else S; bPrev = jp }
         }
-
-        // I: traverse j by inserting its character, consuming nothing
-        k = 0
-        while (k < ps.length) {
-          val c = at(i, ps(k)) + 1
-          if (c < best) { best = c; bMove = I; bPrev = ps(k) }
-          k += 1
-        }
-
-        cost(i)(j) = best; move(i)(j) = bMove; prev(i)(j) = bPrev
-        j += 1
+        // D: delete s(i-1) after having traversed j
+        if (cost(i - 1)(j) + 1 < best) { best = cost(i - 1)(j) + 1; bMove = D; bPrev = j }
       }
-      i += 1
+
+      // I: traverse j by inserting its character, consuming nothing
+      for (jp <- ps) {
+        val c = at(i, jp) + 1
+        if (c < best) { best = c; bMove = I; bPrev = jp }
+      }
+
+      cost(i)(j) = best; move(i)(j) = bMove; prev(i)(j) = bPrev
     }
 
     val candidates = dag.acceptingEdges.toVector.map(j => (cost(n)(j), j))
