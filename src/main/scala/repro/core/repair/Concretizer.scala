@@ -60,25 +60,19 @@ final class Concretizer(
 
   private val trees = mutable.Map.empty[SlotKey, Option[DecisionTree.DTree]]
 
-  /** Labels of `ex`, most frequent first (ties by label). */
-  private def ranked(ex: Vector[(Int, String)]): Vector[String] =
-    ex.groupBy(_._2).view.mapValues(_.size).toVector.sortBy { case (l, c) => (-c, l) }.map(_._1)
-
-  /** The slot's decision tree at `row`, else the slot's majority label, else
-    * the token's.
+  /** The slot's decision tree at `row`, else the most frequent label
+    * observed at the slot, or at its token when the slot has none.
     */
-  private def predict(slot: SlotKey, row: Int): Option[String] = {
-    val ex = bySlot.getOrElse(slot, Vector.empty)
-    trees.getOrElseUpdate(slot, DecisionTree.learn(feats, ex, alpha)).map(_.predict(row, feats))
-      .orElse(ranked(ex).headOption)
-      .orElse(ranked(byTok.getOrElse(slot.tokId, Vector.empty)).headOption)
-  }
+  private def predict(slot: SlotKey, row: Int): Option[String] =
+    trees.getOrElseUpdate(slot, DecisionTree.learn(feats, bySlot.getOrElse(slot, Vector.empty), alpha))
+      .map(_.predict(row, feats))
+      .orElse(observed(slot).headOption)
 
   /** Labels observed at a slot (at its token when the slot has none), most
     * frequent first.
     */
   private def observed(slot: SlotKey): Vector[String] =
-    ranked(bySlot.getOrElse(slot, byTok.getOrElse(slot.tokId, Vector.empty)))
+    DecisionTree.byFrequency(bySlot.getOrElse(slot, byTok.getOrElse(slot.tokId, Vector.empty)).map(_._2))
 
   // ---- public API --------------------------------------------------------
 

@@ -7,9 +7,11 @@ import repro.core.repair.Predicates.Feature
   *
   * Following the paper: trees of varying node count and depth are considered,
   * filtered to training accuracy ≥ α (default 0.8), ranked ascending by
-  * (nodes, depth), and the first qualifying tree is kept. We realize this by
-  * trying a single leaf first (1 node), then all depth-1 stumps (3 nodes),
-  * then greedy depth-2 and depth-3 trees.
+  * (nodes, depth), and the first qualifying tree is kept. We realize this
+  * with one greedy search grown to depth 0, 1, 2 and 3 in turn: depth 0 is
+  * the majority leaf, and depth 1 is the stump with the fewest errors, so the
+  * first depth whose tree qualifies gives the smallest qualifying tree this
+  * search reaches.
   */
 object DecisionTree {
 
@@ -37,62 +39,36 @@ object DecisionTree {
     */
   def learn(feats: Vector[Feature], examples: Vector[(Int, String)],
             alpha: Double = DefaultAlpha): Option[DTree] = {
-    if (examples.isEmpty) return None
-
     def accuracy(t: DTree): Double =
       examples.count { case (r, l) => t.predict(r, feats) == l }.toDouble / examples.size
 
-    // 1 node: majority leaf
-    val leaf = Leaf(majority(examples.map(_._2)))
-    if (accuracy(leaf) >= alpha) return Some(leaf)
-
-    // 3 nodes: best depth-1 stump
-    val stumps = feats.indices.iterator.map(stump(feats, examples, _))
-    val best1  = stumps.map(t => (t, accuracy(t))).filter(_._2 >= alpha)
-      .foldLeft(Option.empty[(DTree, Double)]) {
-        case (None, c) => Some(c)
-        case (Some(b), c) => if (c._2 > b._2) Some(c) else Some(b)
-      }
-    best1 match {
-      case Some((t, _)) => return Some(t)
-      case None => ()
-    }
-
-    // greedy deeper trees, smallest depth first
-    for (d <- 2 to 3) {
-      val t = greedy(feats, examples, d)
-      if (accuracy(t) >= alpha) return Some(t)
-    }
-    None
+    if (examples.isEmpty) None
+    else (0 to 3).iterator.map(greedy(feats, examples, _)).find(accuracy(_) >= alpha)
   }
 
-  private def majority(labels: Vector[String]): String =
+  /** Distinct `labels`, most frequent first, ties by label. */
+  private[repair] def byFrequency(labels: Vector[String]): Vector[String] =
     labels.groupBy(identity).view.mapValues(_.size).toVector
-      .sortBy { case (l, c) => (-c, l) }.head._1
+      .sortBy { case (l, c) => (-c, l) }.map(_._1)
 
-  private def stump(feats: Vector[Feature], examples: Vector[(Int, String)], fi: Int): DTree = {
-    val (tr, fl) = examples.partition { case (r, _) => feats(fi).values(r) }
-    Node(fi,
-      Leaf(if (tr.nonEmpty) majority(tr.map(_._2)) else majority(examples.map(_._2))),
-      Leaf(if (fl.nonEmpty) majority(fl.map(_._2)) else majority(examples.map(_._2))))
-  }
-
+  /** Grow a tree on non-empty `examples` to at most `depth`, splitting each
+    * node on the feature (lowest index among ties) whose majority children
+    * misclassify fewest examples.
+    */
   private def greedy(feats: Vector[Feature], examples: Vector[(Int, String)], depth: Int): DTree = {
-    if (depth == 0 || examples.map(_._2).distinct.size == 1 || examples.isEmpty)
-      return Leaf(if (examples.isEmpty) "" else majority(examples.map(_._2)))
-    // pick the split minimizing weighted misclassification of majority children
-    val scored = feats.indices.map { fi =>
-      val (tr, fl) = examples.partition { case (r, _) => feats(fi).values(r) }
-      val err = miss(tr) + miss(fl)
-      (fi, err, tr, fl)
-    }
-    val (fi, err, tr, fl) = scored.minBy { case (i, e, _, _) => (e, i) }
-    // allow zero-gain splits (err == current miss): deeper levels may still
-    // separate xor-like label structure
-    if (err > miss(examples) || tr.isEmpty || fl.isEmpty)
-      Leaf(majority(examples.map(_._2)))
+    lazy val leaf = Leaf(byFrequency(examples.map(_._2)).head)
+    if (depth == 0 || miss(examples) == 0) leaf
     else
-      Node(fi, greedy(feats, tr, depth - 1), greedy(feats, fl, depth - 1))
+      feats.indices.map { fi =>
+        val (tr, fl) = examples.partition { case (r, _) => feats(fi).values(r) }
+        (fi, miss(tr) + miss(fl), tr, fl)
+      }.minByOption { case (fi, err, _, _) => (err, fi) }
+        // a split never misclassifies more than its parent; zero-gain splits
+        // are kept, since deeper levels may still separate xor-like labels
+        .collect { case (fi, _, tr, fl) if tr.nonEmpty && fl.nonEmpty =>
+          Node(fi, greedy(feats, tr, depth - 1), greedy(feats, fl, depth - 1))
+        }
+        .getOrElse(leaf)
   }
 
   private def miss(ex: Vector[(Int, String)]): Int =

@@ -59,6 +59,21 @@ class DecisionTreeSpec extends AnyFunSuite {
     assert(DecisionTree.learn(Vector(feat("a", true)), Vector.empty).isEmpty)
   }
 
+  test("no features and no qualifying leaf return None") {
+    assert(DecisionTree.learn(Vector.empty, Vector((0, "A"), (1, "B"))).isEmpty)
+  }
+
+  test("nested if-else labels learn depth 3 at alpha 1.0 and depth 2 at 0.8") {
+    val bits = Vector.tabulate(3)(b => feat(s"b$b", (0 until 8).map(r => (r >> b & 1) == 1): _*))
+    val ex   = (0 until 8).toVector.map { r =>
+      (r, if (bits(0).values(r)) "A" else if (bits(1).values(r)) "B" else if (bits(2).values(r)) "C" else "D")
+    }
+    val exact = DecisionTree.learn(bits, ex, alpha = 1.0).get
+    assert(exact.depth == 3)
+    assert(ex.forall { case (r, l) => exact.predict(r, bits) == l })
+    assert(DecisionTree.learn(bits, ex).get.depth == 2) // 7/8 rows ≥ α = 0.8
+  }
+
   test("tie-break on label order is deterministic") {
     val f  = Vector(feat("a", true, false))
     val t1 = DecisionTree.learn(f, Vector((0, "A"), (1, "B")), alpha = 0.4).get
