@@ -133,7 +133,7 @@ object PatternLearner {
     val out = Vector.newBuilder[Pattern]
     val used = Array.fill(analyzed.length)(false)
     for (i <- analyzed.indices if !used(i)) {
-      val (ui, ri, pi) = analyzed(i)
+      val (ui, _, pi) = analyzed(i)
       val mates = (i + 1 until analyzed.length).filter { j =>
         !used(j) && {
           val (uj, _, _) = analyzed(j)
@@ -141,21 +141,12 @@ object PatternLearner {
         }
       }
       val group = i +: mates
-      val repsDiffer = group.map(analyzed(_)._2).distinct.size > 1
-      val anyRepeats = group.exists(analyzed(_)._2 >= 2)
-      if (group.size > 1 && anyRepeats || (group.size == 1 && ri >= 2)) {
-        if (group.size == 1 && !repsDiffer && ri >= 2) {
-          // single cluster with internal repetition: (unit)+
-          out += Pattern(Vector(Group(ui)))
-          used(i) = true
-        } else if (anyRepeats) {
-          val unit = group.map(analyzed(_)._1).reduce((a, b) =>
-            a.zip(b).map { case (x, y) => unifyTok(x, y).get })
-          out += Pattern(Vector(Group(unit)))
-          group.foreach(used(_) = true)
-        }
-      }
-      if (!used(i)) { out += pi; used(i) = true }
+      if (group.exists(analyzed(_)._2 >= 2)) {
+        val unit = group.map(analyzed(_)._1).reduce((a, b) =>
+          a.zip(b).map { case (x, y) => unifyTok(x, y).get })
+        out += Pattern(Vector(Group(unit)))
+        group.foreach(used(_) = true)
+      } else { out += pi; used(i) = true }
     }
     out.result().distinct
   }
