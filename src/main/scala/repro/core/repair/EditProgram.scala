@@ -13,37 +13,26 @@ import repro.core.pattern._
   *                one-or-more class, char index within a disjunction
   *                alternative)
   */
-final case class SlotKey(tokId: Int, occ: Vector[Int], charIdx: Int) {
-  def pretty: String = s"$tokId:${occ.mkString(".")}:$charIdx"
-}
+final case class SlotKey(tokId: Int, occ: Vector[Int], charIdx: Int)
 
 /** Edge labels of the pattern NFA/DAG — each edge consumes one character. */
 sealed trait EdgeLabel {
   def matches(c: Char): Boolean
-  /** True when an emission on this edge needs concretization. */
-  def isAbstract: Boolean
-  def pretty: String
 }
 
 /** A single literal character. */
 final case class LitLabel(c: Char) extends EdgeLabel {
   def matches(x: Char): Boolean = x == c
-  def isAbstract: Boolean       = false
-  def pretty: String            = c.toString
 }
 
 /** A character class (abstract on emission). */
 final case class ClsLabel(cc: CharClassT) extends EdgeLabel {
   def matches(x: Char): Boolean = cc.contains(x)
-  def isAbstract: Boolean       = true
-  def pretty: String            = cc.regex
 }
 
 /** A semantic-mask symbol. */
 final case class MaskLabel(semType: String) extends EdgeLabel {
   def matches(x: Char): Boolean = x == Masks.charFor(semType)
-  def isAbstract: Boolean       = true
-  def pretty: String            = s"{$semType}"
 }
 
 /** One DAG edge. `disjId` / `disjAlt` are set (≥ 0) on edges that belong to a
