@@ -3,7 +3,6 @@ package repro.bench
 import java.io.{ByteArrayOutputStream, ObjectOutputStream}
 import java.lang.management.ManagementFactory
 import repro.SparkSpec
-import repro.baselines.SemiSupervisedSystem
 import repro.benchgen.{BenchGen, Systems}
 
 /** Table 10: per-table runtime cost on the Wikipedia benchmark, measured in
@@ -44,14 +43,10 @@ class Table10Runtime extends SparkSpec {
       var totalNs = 0L; var totalAlloc = 0L; var totalKb = 0.0
       for (t <- tables) {
         val dirty  = t.dirtyTable
-        val labels = t.colNames.indices.map(c =>
-          c -> t.cells.filter(x => x.col == c && x.isError).map(_.row).sorted.take(5).toSet).toMap
+        val labels = t.supervisionLabels
         val a0 = tmx.getThreadAllocatedBytes(tid)
         val t0 = System.nanoTime()
-        val outcome = Systems.make(name) match {
-          case s: SemiSupervisedSystem => s.cleanWithLabels(dirty, labels)
-          case s                       => s.clean(dirty)
-        }
+        val outcome = Systems.make(name).cleanWithLabels(dirty, labels)
         totalNs += System.nanoTime() - t0
         totalAlloc += tmx.getThreadAllocatedBytes(tid) - a0
         totalKb += serializedKb(outcome.map { case (c, o) => (c, (o.errors, o.repairs)) })

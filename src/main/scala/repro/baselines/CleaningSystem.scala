@@ -14,17 +14,13 @@ trait CleaningSystem {
 
   /** Clean every column of `table`. */
   def clean(table: Table): Map[Int, ColumnOutcome]
-}
 
-/** Systems that consume a handful of labeled example errors (Raha is run
-  * with the first 5 ground-truth errors per column, §4.3).
-  */
-trait SemiSupervisedSystem extends CleaningSystem {
-  /** `labels(col)` = row indices of known errors provided as supervision. */
-  def cleanWithLabels(table: Table, labels: Map[Int, Set[Int]]): Map[Int, ColumnOutcome]
-
-  override def clean(table: Table): Map[Int, ColumnOutcome] =
-    cleanWithLabels(table, Map.empty)
+  /** Clean with `labels(col)` = row indices of known errors provided as
+    * supervision (Raha is run with the first 5 ground-truth errors per
+    * column, §4.3); unsupervised systems ignore them.
+    */
+  def cleanWithLabels(table: Table, labels: Map[Int, Set[Int]]): Map[Int, ColumnOutcome] =
+    clean(table)
 }
 
 /** Shared column statistics used by several baselines. */

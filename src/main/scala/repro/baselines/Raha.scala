@@ -9,8 +9,10 @@ import repro.core.Table
   * cell of a labeled cluster. Detection-only — repairs come from the
   * [[LlmRepair]] head, as in the paper's "Raha + GPT-3.5" row.
   */
-final class Raha extends SemiSupervisedSystem {
+final class Raha extends CleaningSystem {
   def name = "Raha"
+
+  def clean(table: Table): Map[Int, ColumnOutcome] = cleanWithLabels(table, Map.empty)
 
   /** The detector ensemble: each strategy votes on a cell. */
   private[baselines] def detectorVector(values: Vector[String], r: Int): Vector[Boolean] = {
@@ -44,7 +46,7 @@ final class Raha extends SemiSupervisedSystem {
     )
   }
 
-  def cleanWithLabels(table: Table, labels: Map[Int, Set[Int]]): Map[Int, ColumnOutcome] =
+  override def cleanWithLabels(table: Table, labels: Map[Int, Set[Int]]): Map[Int, ColumnOutcome] =
     table.cols.indices.map { c =>
       val values  = table.col(c).values
       val vectors = values.indices.map(r => detectorVector(values, r)).toVector

@@ -1,7 +1,7 @@
 package repro.benchgen
 
-import repro.core.{Column, Table}
-import repro.formulas.{Errors, FormulaEval, FormulaParser}
+import repro.core.{Column, ExecutionGuided, Table}
+import repro.formulas.FormulaParser
 import scala.util.Random
 
 /** One benchmark cell with ground truth. `certain` marks cells whose clean
@@ -35,6 +35,12 @@ final case class GenTable(benchmark: String, tableId: Long,
 
   /** Ground-truth error rows per column. */
   def errorRows(c: Int): Set[Int] = cells.filter(x => x.col == c && x.isError).map(_.row).toSet
+
+  /** First 5 ground-truth error rows per column — the supervision of
+    * semi-supervised systems such as Raha (§4.3).
+    */
+  def supervisionLabels: Map[Int, Set[Int]] =
+    colNames.indices.map(c => c -> errorRows(c).toVector.sorted.take(5).toSet).toMap
 }
 
 /** Deterministic generators for the four benchmarks of §4.2. Table counts
@@ -253,12 +259,7 @@ object BenchGen {
   }
 
   /** Rows of a formula table whose output is an Excel error value. */
-  def failingRows(t: GenTable): Set[Int] = {
-    val expr  = FormulaParser.parse(t.formula).fold(e => throw new IllegalArgumentException(e), identity)
-    val table = t.dirtyTable
-    val order = table.cols.map(_.name)
-    (0 until table.numRows).filter { r =>
-      Errors.isError(FormulaEval.evalToCell(expr, table.row(r), order))
-    }.toSet
-  }
+  def failingRows(t: GenTable): Set[Int] =
+    ExecutionGuided.failingRows(t.dirtyTable,
+      FormulaParser.parse(t.formula).fold(e => throw new IllegalArgumentException(e), identity))
 }

@@ -52,24 +52,15 @@ final case class FormulaOutcome(
   */
 object EvalHarness {
 
-  /** First-5 ground-truth error rows per column — Raha's supervision (§4.3). */
-  private def rahaLabels(t: GenTable): Map[Int, Set[Int]] =
-    t.colNames.indices.map { c =>
-      c -> t.cells.filter(x => x.col == c && x.isError).map(_.row).sorted.take(5).toSet
-    }.toMap
-
   /** Run `systems` over every table; one [[CellOutcome]] per (system, cell). */
   def run(spark: SparkSession, tables: Dataset[GenTable], systems: Seq[String]): Dataset[CellOutcome] = {
     import spark.implicits._
     val sysNames = systems.toVector
     tables.flatMap { t =>
       val dirty  = t.dirtyTable
-      val labels = rahaLabels(t)
+      val labels = t.supervisionLabels
       sysNames.flatMap { sysName =>
-        val outcome: Map[Int, ColumnOutcome] = Systems.make(sysName) match {
-          case s: SemiSupervisedSystem => s.cleanWithLabels(dirty, labels)
-          case s                       => s.clean(dirty)
-        }
+        val outcome = Systems.make(sysName).cleanWithLabels(dirty, labels)
         t.cells.map { cell =>
           val co      = outcome.get(cell.col)
           val flagged = co.exists(_.errors.contains(cell.row))
@@ -106,11 +97,7 @@ object EvalHarness {
           case "DataVinci Unsupervised" =>
             ExecutionGuided.cleanUnsupervised(dirty, expr, t.inputCols).failingAfter
           case other =>
-            val sys = Systems.make(other)
-            val outcome = sys match {
-              case s: SemiSupervisedSystem => s.cleanWithLabels(dirty, rahaLabels(t))
-              case s                       => s.clean(dirty)
-            }
+            val outcome = Systems.make(other).cleanWithLabels(dirty, t.supervisionLabels)
             var repaired = dirty
             for {
               c <- t.inputCols
