@@ -2,16 +2,33 @@ package repro.core.repair
 
 import repro.core.repair.Predicates.Feature
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+
 /** Small decision trees over boolean features predicting string labels — the
   * concretization constraints of §3.4.
   *
   * Following the paper: trees of varying node count and depth are considered,
   * filtered to training accuracy ≥ α (default 0.8), ranked ascending by
   * (nodes, depth), and the first qualifying tree is kept. We realize this
-  * with one greedy search grown to depth 0, 1, 2 and 3 in turn: depth 0 is
-  * the majority leaf, and depth 1 is the stump with the fewest errors, so the
-  * first depth whose tree qualifies gives the smallest qualifying tree this
-  * search reaches.
+  * with one greedy search: each node splits on the feature (lowest index
+  * among ties) whose majority children misclassify fewest examples. The
+  * search is grown once, to depth 3 at most, and truncated at depth 0, 1, 2
+  * and 3 in turn: depth 0 is the majority leaf, and depth 1 is the stump with
+  * the fewest errors, so the first depth whose tree qualifies gives the
+  * smallest qualifying tree this search reaches. Truncation is exact because
+  * a node's split does not depend on the depth left below it.
+  *
+  * `learn` is a counting kernel. Example *positions* (not row ids, so a
+  * repeated row counts twice) are bits of an `Array[Long]`; each label and
+  * each feature's projection onto the examples is one such bitset, and a
+  * node is the bitset of its examples. A split's error comes from popcounts
+  * of node ∧ feature ∧ label. Only the first feature of each distinct
+  * projection is searched: a later copy has the same error at every node and
+  * a higher index, so it never wins the tie-break. A node's leaf label is its
+  * most frequent label (ties by label), and a truncated tree's training
+  * accuracy is the sum of its leaves' most frequent label counts over the
+  * number of examples.
   */
 object DecisionTree {
 
@@ -34,43 +51,118 @@ object DecisionTree {
 
   val DefaultAlpha = 0.8
 
+  private val MaxDepth = 3
+
   /** Learn a tree over `examples` (rowIdx → label) with accuracy ≥ `alpha`;
     * `None` when no tree up to depth 3 qualifies.
     */
   def learn(feats: Vector[Feature], examples: Vector[(Int, String)],
-            alpha: Double = DefaultAlpha): Option[DTree] = {
-    def accuracy(t: DTree): Double =
-      examples.count { case (r, l) => t.predict(r, feats) == l }.toDouble / examples.size
-
+            alpha: Double = DefaultAlpha): Option[DTree] =
     if (examples.isEmpty) None
-    else (0 to 3).iterator.map(greedy(feats, examples, _)).find(accuracy(_) >= alpha)
-  }
+    else {
+      val root = new Kernel(feats, examples).root
+      (0 to MaxDepth).find(d => root.hits(d).toDouble / examples.size >= alpha).map(root.tree)
+    }
 
   /** Distinct `labels`, most frequent first, ties by label. */
   private[repair] def byFrequency(labels: Vector[String]): Vector[String] =
     labels.groupBy(identity).view.mapValues(_.size).toVector
       .sortBy { case (l, c) => (-c, l) }.map(_._1)
 
-  /** Grow a tree on non-empty `examples` to at most `depth`, splitting each
-    * node on the feature (lowest index among ties) whose majority children
-    * misclassify fewest examples.
-    */
-  private def greedy(feats: Vector[Feature], examples: Vector[(Int, String)], depth: Int): DTree = {
-    lazy val leaf = Leaf(byFrequency(examples.map(_._2)).head)
-    if (depth == 0 || miss(examples) == 0) leaf
-    else
-      feats.indices.map { fi =>
-        val (tr, fl) = examples.partition { case (r, _) => feats(fi).values(r) }
-        (fi, miss(tr) + miss(fl), tr, fl)
-      }.minByOption { case (fi, err, _, _) => (err, fi) }
-        // a split never misclassifies more than its parent; zero-gain splits
-        // are kept, since deeper levels may still separate xor-like labels
-        .collect { case (fi, _, tr, fl) if tr.nonEmpty && fl.nonEmpty =>
-          Node(fi, greedy(feats, tr, depth - 1), greedy(feats, fl, depth - 1))
-        }
-        .getOrElse(leaf)
+  private def popcount(a: Array[Long]): Int = {
+    var c = 0
+    var w = 0
+    while (w < a.length) { c += java.lang.Long.bitCount(a(w)); w += 1 }
+    c
   }
 
-  private def miss(ex: Vector[(Int, String)]): Int =
-    if (ex.isEmpty) 0 else ex.size - ex.groupBy(_._2).values.map(_.size).max
+  private def and(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & b(w))
+
+  private def andNot(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & ~b(w))
+
+  /** Bitsets over the positions of non-empty `examples`. */
+  private final class Kernel(feats: Vector[Feature], examples: Vector[(Int, String)]) {
+    private val n      = examples.size
+    private val words  = (n + 63) >>> 6
+    private val labels = examples.map(_._2).distinct.sorted.toArray
+
+    private def bitset(p: Int => Boolean): Array[Long] = {
+      val bits = new Array[Long](words)
+      var i = 0
+      while (i < n) { if (p(i)) bits(i >>> 6) |= 1L << i; i += 1 }
+      bits
+    }
+
+    private val labelBits: Array[Array[Long]] = {
+      val id = labels.zipWithIndex.toMap
+      val ls = examples.map(e => id(e._2)).toArray
+      Array.tabulate(labels.length)(l => bitset(ls(_) == l))
+    }
+
+    /** (index into `feats`, projection) of each feature whose projection no
+      * lower-indexed feature has, in ascending index.
+      */
+    private val (featIds, featBits): (Array[Int], Array[Array[Long]]) = {
+      val rows = examples.map(_._1).toArray
+      val seen = mutable.HashSet.empty[ArraySeq[Long]]
+      feats.indices.iterator.map { fi =>
+        val v = feats(fi).values
+        (fi, bitset(i => v(rows(i))))
+      }.filter { case (_, bits) => seen.add(ArraySeq.unsafeWrapArray(bits)) }.toArray.unzip
+    }
+
+    val root: Grown = new Grown(bitset(_ => true))
+
+    /** The node whose examples are the set bits of `mask`, with its split
+      * found on first use.
+      */
+    final class Grown(mask: Array[Long]) {
+      private val size   = popcount(mask)
+      private val counts = labelBits.map(l => popcount(and(mask, l)))
+      private val major  = counts.indices.maxBy(counts) // first maximum: ties by label
+
+      private lazy val split: Option[(Int, Grown, Grown)] =
+        if (counts(major) == size) None
+        else
+          // the first minimum: lowest feature index among ties
+          featBits.indices.minByOption(j => error(featBits(j))).flatMap { j =>
+            val t     = and(mask, featBits(j))
+            val tSize = popcount(t)
+            // a split with an empty side leaves the node a leaf
+            if (tSize == 0 || tSize == size) None
+            else Some((featIds(j), new Grown(t), new Grown(andNot(mask, featBits(j)))))
+          }
+
+      /** Examples the majority children of a split on `feat` misclassify. */
+      private def error(feat: Array[Long]): Int = {
+        var tSize, tMax, fMax = 0
+        var w = 0
+        while (w < words) { tSize += java.lang.Long.bitCount(mask(w) & feat(w)); w += 1 }
+        var l = 0
+        while (l < labelBits.length) {
+          if (counts(l) > 0) {
+            val lb = labelBits(l)
+            var tl = 0
+            w = 0
+            while (w < words) { tl += java.lang.Long.bitCount(mask(w) & feat(w) & lb(w)); w += 1 }
+            tMax = math.max(tMax, tl)
+            fMax = math.max(fMax, counts(l) - tl)
+          }
+          l += 1
+        }
+        (tSize - tMax) + (size - tSize - fMax)
+      }
+
+      /** Examples the tree truncated at `depth` below this node predicts right. */
+      def hits(depth: Int): Int = (if (depth == 0) None else split) match {
+        case Some((_, t, f)) => t.hits(depth - 1) + f.hits(depth - 1)
+        case None            => counts(major)
+      }
+
+      def tree(depth: Int): DTree = (if (depth == 0) None else split) match {
+        case Some((fi, t, f)) => Node(fi, t.tree(depth - 1), f.tree(depth - 1))
+        case None             => Leaf(labels(major))
+      }
+    }
+  }
 }

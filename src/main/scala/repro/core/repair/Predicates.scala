@@ -15,11 +15,13 @@ object Predicates {
   /** A named boolean feature evaluated per row index. */
   final case class Feature(name: String, values: Array[Boolean])
 
+  private val NonAlphanumeric = "[^a-zA-Z0-9]+".r
+
   /** Split a value into candidate constant tokens (§3.4). */
   def tokensOf(v: String): Vector[String] = {
     val out = Vector.newBuilder[String]
     // split on non-alphanumeric
-    out ++= v.split("[^a-zA-Z0-9]+").filter(_.nonEmpty)
+    out ++= NonAlphanumeric.split(v).filter(_.nonEmpty)
     // split on case change and alpha/digit switches
     val b = new StringBuilder
     for (i <- v.indices) {

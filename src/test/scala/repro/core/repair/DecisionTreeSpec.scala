@@ -80,6 +80,51 @@ class DecisionTreeSpec extends AnyFunSuite {
     val t2 = DecisionTree.learn(f, Vector((0, "A"), (1, "B")), alpha = 0.4).get
     assert(t1 == t2)
   }
+
+  test("more than 64 examples: label counts span several words") {
+    // A on rows 0–63, B on 64–127, C on 128–149
+    val over64  = feat("r>=64", (0 until 150).map(_ >= 64): _*)
+    val over128 = feat("r>=128", (0 until 150).map(_ >= 128): _*)
+    val fs = Vector(over64, over128)
+    val ex = (0 until 150).toVector.map(r => (r, if (r < 64) "A" else if (r < 128) "B" else "C"))
+    import DecisionTree.{Leaf, Node}
+    // the stump misses only the 22 C rows: 128/150 ≥ 0.8
+    assert(DecisionTree.learn(fs, ex).get == Node(0, Leaf("B"), Leaf("A")))
+    assert(DecisionTree.learn(fs, ex, alpha = 1.0).get ==
+      Node(0, Node(1, Leaf("C"), Leaf("B")), Leaf("A")))
+  }
+
+  test("a row repeated in the examples counts once per occurrence") {
+    val f = Vector(feat("a", false, true))
+    // 4 of 5 examples are row 0 with A: the leaf reaches 0.8
+    val ex = Vector((0, "A"), (0, "A"), (1, "B"), (0, "A"), (0, "A"))
+    assert(DecisionTree.learn(f, ex).get == DecisionTree.Leaf("A"))
+    // row 0 with two labels: no split separates them, at best 2 of 3 are right
+    val clash = Vector((0, "A"), (0, "B"), (1, "B"))
+    assert(DecisionTree.learn(f, clash).isEmpty)
+    assert(DecisionTree.learn(f, clash, alpha = 0.6).get == DecisionTree.Leaf("B"))
+  }
+
+  test("features equal on the examples split on the lower index") {
+    val noise = feat("noise", true, true, false, true)
+    val lower = feat("lower", true, false, true, true)
+    val upper = feat("upper", true, false, false, false) // differs from lower on rows 2, 3 only
+    val fs    = Vector(noise, lower, upper)
+    val t     = DecisionTree.learn(fs, Vector((0, "A"), (1, "B"))).get
+    assert(t == DecisionTree.Node(1, DecisionTree.Leaf("A"), DecisionTree.Leaf("B")))
+    assert(t.predict(2, fs) == "A" && t.predict(3, fs) == "A")
+  }
+
+  test("a lower-indexed feature constant on the examples wins a zero-gain tie and leaves a leaf") {
+    val const = feat("const", true, true, true, true)
+    val f1    = feat("f1", true, true, false, false)
+    val f2    = feat("f2", true, false, true, false)
+    val xor   = Vector((0, "A"), (1, "B"), (2, "B"), (3, "A"))
+    // every split errs on 2 of 4 at the root, so `const` (index 0) is taken
+    assert(DecisionTree.learn(Vector(const, f1, f2), xor).isEmpty)
+    assert(DecisionTree.learn(Vector(const, f1, f2), xor, alpha = 0.5).get == DecisionTree.Leaf("A"))
+    assert(DecisionTree.learn(Vector(f1, f2, const), xor).get.depth == 2)
+  }
 }
 
 class PredicatesSpec extends AnyFunSuite {
