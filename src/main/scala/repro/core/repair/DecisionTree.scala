@@ -135,16 +135,14 @@ object DecisionTree {
 
       /** Examples the majority children of a split on `feat` misclassify. */
       private def error(feat: Array[Long]): Int = {
-        var tSize, tMax, fMax = 0
-        var w = 0
-        while (w < words) { tSize += java.lang.Long.bitCount(mask(w) & feat(w)); w += 1 }
+        var tSize, tMax, fMax = 0 // the labels partition the examples: tSize sums the tl
         var l = 0
         while (l < labelBits.length) {
           if (counts(l) > 0) {
             val lb = labelBits(l)
-            var tl = 0
-            w = 0
+            var tl, w = 0
             while (w < words) { tl += java.lang.Long.bitCount(mask(w) & feat(w) & lb(w)); w += 1 }
+            tSize += tl
             tMax = math.max(tMax, tl)
             fMax = math.max(fMax, counts(l) - tl)
           }
