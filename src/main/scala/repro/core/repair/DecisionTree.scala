@@ -128,7 +128,8 @@ object DecisionTree {
           featBits.indices.minByOption(j => error(featBits(j))).flatMap { j =>
             val t     = and(mask, featBits(j))
             val tSize = popcount(t)
-            // a split with an empty side leaves the node a leaf
+            // a split with an empty side leaves the node a leaf; zero-gain splits
+            // are kept, since deeper levels may still separate xor-like labels
             if (tSize == 0 || tSize == size) None
             else Some((featIds(j), new Grown(t), new Grown(andNot(mask, featBits(j)))))
           }
