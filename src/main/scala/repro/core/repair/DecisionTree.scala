@@ -44,7 +44,7 @@ object DecisionTree {
   }
   final case class Node(feat: Int, t: DTree, f: DTree) extends DTree {
     def predict(row: Int, feats: Vector[Feature]): String =
-      if (feats(feat).values(row)) t.predict(row, feats) else f.predict(row, feats)
+      if (feats(feat)(row)) t.predict(row, feats) else f.predict(row, feats)
     def nodes: Int = 1 + t.nodes + f.nodes
     def depth: Int = 1 + math.max(t.depth, f.depth)
   }
@@ -85,6 +85,7 @@ object DecisionTree {
     private val n      = examples.size
     private val words  = (n + 63) >>> 6
     private val labels = examples.map(_._2).distinct.sorted.toArray
+    private val rows   = examples.map(_._1).toArray
 
     private def bitset(p: Int => Boolean): Array[Long] = {
       val bits = new Array[Long](words)
@@ -103,12 +104,17 @@ object DecisionTree {
       * lower-indexed feature has, in ascending index.
       */
     private val (featIds, featBits): (Array[Int], Array[Array[Long]]) = {
-      val rows = examples.map(_._1).toArray
       val seen = mutable.HashSet.empty[ArraySeq[Long]]
-      feats.indices.iterator.map { fi =>
-        val v = feats(fi).values
-        (fi, bitset(i => v(rows(i))))
-      }.filter { case (_, bits) => seen.add(ArraySeq.unsafeWrapArray(bits)) }.toArray.unzip
+      feats.indices.iterator.map(fi => (fi, project(feats(fi))))
+        .filter { case (_, bits) => seen.add(ArraySeq.unsafeWrapArray(bits)) }.toArray.unzip
+    }
+
+    /** `feat`'s bit at each example's row, as a bitset over positions. */
+    private def project(feat: Feature): Array[Long] = {
+      val bits = new Array[Long](words)
+      var i = 0
+      while (i < n) { if (feat(rows(i))) bits(i >>> 6) |= 1L << i; i += 1 }
+      bits
     }
 
     val root: Grown = new Grown(bitset(_ => true))
