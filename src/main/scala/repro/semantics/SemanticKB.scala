@@ -158,6 +158,12 @@ object SemanticKB {
       .flatMap(en => en.forms.map { case (fn, s) => (normalize(s), en, fn) })
       .groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
 
+  /** Per semantic type, (entity, form name, normalized form) in entity and
+    * form order.
+    */
+  private val normalizedForms: Map[String, Vector[(Entity, String, String)]] =
+    entities.view.mapValues(_.flatMap(en => en.forms.map { case (fn, s) => (en, fn, normalize(s)) })).toMap
+
   /** Fuzzy lookup within one semantic type: best entity/form within the
     * length-scaled edit-distance budget, `None` on miss or tie between
     * different entities.
@@ -168,8 +174,9 @@ object SemanticKB {
     // matching needs at least 4 characters, two-edit budget needs 6
     val budget = if (t.length >= 6) 2 else if (t.length >= 4) 1 else 0
     if (budget == 0) return None
-    val hits = entities.getOrElse(semType, Vector.empty).flatMap { en =>
-      en.forms.map { case (fn, s) => (en, fn, repro.core.Strings.damerau(t, normalize(s))) }
+    // the length difference bounds the edit distance from below
+    val hits = normalizedForms.getOrElse(semType, Vector.empty).collect {
+      case (en, fn, s) if math.abs(s.length - t.length) <= budget => (en, fn, repro.core.Strings.damerau(t, s))
     }.filter(_._3 <= budget)
     if (hits.isEmpty) None
     else {

@@ -40,11 +40,14 @@ object SemanticMasker {
   private final case class Hit(start: Int, end: Int, surface: String,
                                entity: Entity, formName: String, dist: Int)
 
+  /** Alpha tokens (periods allowed inside, e.g. "u.k."). */
+  private val AlphaToken = "[A-Za-z](?:[A-Za-z.]*[A-Za-z.])?".r
+
+  private val AlphanumericRun = "[A-Za-z0-9]+".r
+
   /** Word grams (up to 3 alpha tokens joined by single spaces/periods). */
   private def grams(v: String): Vector[Gram] = {
-    // alpha tokens with positions (periods allowed inside, e.g. "u.k.")
-    val tokRe = "[A-Za-z](?:[A-Za-z.]*[A-Za-z.])?".r
-    val toks  = tokRe.findAllMatchIn(v).map(m => Gram(m.start, m.end, m.matched)).toVector
+    val toks  = AlphaToken.findAllMatchIn(v).map(m => Gram(m.start, m.end, m.matched)).toVector
     val out   = Vector.newBuilder[Gram]
     for (i <- toks.indices; len <- 1 to 3; if i + len <= toks.length) {
       val first = toks(i); val last = toks(i + len - 1)
@@ -64,7 +67,7 @@ object SemanticMasker {
     * the prefix `H4rry` to the entity `Harry` with one mapped character.
     */
   private def visualHits(v: String, elected: Set[String]): Vector[Hit] = {
-    val runs = "[A-Za-z0-9]+".r.findAllMatchIn(v).toVector
+    val runs = AlphanumericRun.findAllMatchIn(v).toVector
       .filter(m => m.matched.exists(_.isLetter) &&
                    m.matched.exists(c => SemanticKB.visualInv.contains(c)))
     runs.flatMap { m =>
@@ -81,8 +84,8 @@ object SemanticMasker {
     }
   }
 
-  private def exactHits(v: String): Vector[Hit] =
-    grams(v).flatMap { g =>
+  private def exactHits(gs: Vector[Gram]): Vector[Hit] =
+    gs.flatMap { g =>
       SemanticKB.index.getOrElse(SemanticKB.normalize(g.surface), Vector.empty)
         .map { case (en, fn) => Hit(g.start, g.end, g.surface, en, fn, 0) }
     }
@@ -105,7 +108,8 @@ object SemanticMasker {
   /** Mask a whole column; deterministic in the input. */
   def maskColumn(values: Vector[String]): Vector[MaskedValue] = {
     if (values.isEmpty) return Vector.empty
-    val exact = values.map(exactHits)
+    val gramsOf = values.map(grams)
+    val exact   = gramsOf.map(exactHits)
 
     // type election over the column
     val nonEmpty = math.max(1, values.count(_.nonEmpty))
@@ -129,7 +133,7 @@ object SemanticMasker {
       val kept = exact(i).filter(h => elected.contains(h.entity.semType))
       val visual = visualHits(v, elected).filterNot(h =>
         kept.exists(k => h.start < k.end && k.start < h.end))
-      val fuzzy = grams(v).flatMap { g =>
+      val fuzzy = gramsOf(i).flatMap { g =>
         val overlaps = (kept ++ visual).exists(h => g.start < h.end && h.start < g.end)
         if (overlaps) None
         else {
