@@ -47,6 +47,45 @@ class SemanticKBSpec extends AnyFunSuite {
   test("misspelled country resolves") {
     assert(SemanticKB.fuzzy("Nevad", "region").exists(_._1.canonical == "Nevada"))
   }
+
+  /** `fuzzy` as a scan of `damerau` over every form of the type. */
+  private def fuzzyFullScan(token: String, semType: String): Option[(Entity, String, Int)] = {
+    val t      = SemanticKB.normalize(token)
+    val budget = if (t.length >= 6) 2 else if (t.length >= 4) 1 else 0
+    if (budget == 0) return None
+    val hits = SemanticKB.entities.getOrElse(semType, Vector.empty).flatMap { en =>
+      en.forms.map { case (fn, s) => (en, fn, repro.core.Strings.damerau(t, SemanticKB.normalize(s))) }
+    }.filter(_._3 <= budget)
+    if (hits.isEmpty) None
+    else {
+      val best = hits.minBy(_._3)
+      if (hits.filter(_._3 == best._3).map(_._1.canonical).distinct.size == 1) Some(best) else None
+    }
+  }
+
+  test("fuzzy equals the full scan on random tokens and every type") {
+    val rng   = new scala.util.Random(61018L)
+    val forms = SemanticKB.entities.values.flatten.flatMap(_.forms.map(_._2)).toVector
+    def edit(s: String): String = rng.nextInt(4) match {
+      case _ if s.isEmpty => s
+      case 0 => s.patch(rng.nextInt(s.length), "", 1)
+      case 1 => s.patch(rng.nextInt(s.length + 1), ('a' + rng.nextInt(26)).toChar.toString, 0)
+      case 2 => s.patch(rng.nextInt(s.length), ('A' + rng.nextInt(26)).toChar.toString, 1)
+      case _ => val i = rng.nextInt(s.length); if (i + 1 < s.length) s.patch(i, s"${s(i + 1)}${s(i)}", 2) else s
+    }
+    var hits = 0
+    for (_ <- 0 until 3000) {
+      val token =
+        if (rng.nextInt(4) == 0) Vector.fill(rng.nextInt(12))(('a' + rng.nextInt(26)).toChar).mkString
+        else Iterator.iterate(forms(rng.nextInt(forms.size)))(edit).drop(rng.nextInt(4)).next()
+      for (t <- SemanticKB.entities.keys) {
+        val want = fuzzyFullScan(token, t)
+        assert(SemanticKB.fuzzy(token, t) == want, s"'$token' as $t")
+        if (want.nonEmpty) hits += 1
+      }
+    }
+    assert(hits >= 500, s"hits=$hits")
+  }
 }
 
 class SemanticMaskerSpec extends AnyFunSuite {
