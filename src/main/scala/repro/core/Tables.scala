@@ -71,8 +71,10 @@ object Strings {
   }
 
   /** True if the value parses as a number (Excel-style, ignoring thousands
-    * separators).
+    * separators). `toDouble` accepts nothing without an ASCII digit except
+    * `NaN` and `Infinity`, so other values are rejected before it throws.
     */
   def isNumeric(s: String): Boolean =
-    s.nonEmpty && scala.util.Try(s.replace(",", "").toDouble).isSuccess
+    (s.exists(c => c >= '0' && c <= '9') || s.contains("NaN") || s.contains("Infinity")) &&
+      scala.util.Try(s.replace(",", "").toDouble).isSuccess
 }

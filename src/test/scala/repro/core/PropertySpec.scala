@@ -120,6 +120,15 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  test("isNumeric is exactly toDouble's success after dropping commas") {
+    val fragments = Gen.oneOf("0", "7", "42", "1,234", ".", ",", "+", "-", "e", "E", "e-3", "x", "0x",
+      "p", "p2", "a", "f", "F", "d", "D", "NaN", "Infinity", "nan", "inf", " ", "\t", "٣", "３", "Ⅻ", "#", "abc")
+    val s = Gen.chooseNum(0, 5).flatMap(n => Gen.listOfN(n, fragments).map(_.mkString))
+    checkProp(Prop.forAll(s) { v =>
+      Strings.isNumeric(v) == scala.util.Try(v.replace(",", "").toDouble).isSuccess
+    }, n = 5000)
+  }
+
   test("corruption never silently returns the same value") {
     val g = for {
       s    <- simpleString.suchThat(_.nonEmpty)
