@@ -38,12 +38,14 @@ final class Concretizer(
   /** Examples (row, label) per abstract slot, from the captures of every
     * matching row: a class slot is labelled with the consumed character, a
     * disjunction occurrence `SlotKey(disjId, occ, 0)` with the chosen
-    * alternative, and a mask slot with the row's entity suggestion.
+    * alternative, and a mask slot with the row's entity suggestion. Captures
+    * are computed once per distinct matching value.
     */
-  private val bySlot: Map[SlotKey, Vector[(Int, String)]] =
+  private val bySlot: Map[SlotKey, Vector[(Int, String)]] = {
+    val captured = mutable.HashMap.empty[String, Option[EditDp.Captures]]
     matchingRows.flatMap { r =>
       val v = maskedValues(r)
-      EditDp.captures(dag(v.length), v).toVector.flatMap { c =>
+      captured.getOrElseUpdate(v, EditDp.captures(dag(v.length), v)).toVector.flatMap { c =>
         c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++
           c.disjChoice.map { case (slot, alt) => (slot, r, alt) } ++
           c.maskAt.flatMap { case (slot, pos) =>
@@ -51,6 +53,7 @@ final class Concretizer(
           }
       }
     }.groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
+  }
 
   /** The same examples per token; token ids are unique, so kinds never mix. */
   private lazy val byTok: Map[Int, Vector[(Int, String)]] =
