@@ -21,9 +21,10 @@ import scala.collection.mutable
   *
   * `learn` is a counting kernel. Example *positions* (not row ids, so a
   * repeated row counts twice) are bits of an `Array[Long]`; each label and
-  * each feature's projection onto the examples is one such bitset, and a
-  * node is the bitset of its examples. A split's error comes from popcounts
-  * of node ∧ feature ∧ label. Only the first feature of each distinct
+  * each feature's projection onto the examples (its row bit read at every
+  * example's row) is one such bitset, and a node is the bitset of its
+  * examples. A split's error comes from popcounts of node ∧ feature ∧
+  * label. Only the first feature of each distinct
   * projection is searched: a later copy has the same error at every node and
   * a higher index, so it never wins the tie-break. A node's leaf label is its
   * most frequent label (ties by label), and a truncated tree's training
