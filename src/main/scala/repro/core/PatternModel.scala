@@ -39,11 +39,11 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
     significant.map { case (p, cov) => (p, cov, new Concretizer(table, fs, p, masked, suggestions, cfg.alpha)) }
   }
 
-  /** Repair every row of `errors`, ranking candidates against the values of
-    * the training rows that are not errors.
+  /** Repair every row of `errors`, ranking candidates against the distinct
+    * values of the training rows that are not errors.
     */
   def repairs(errors: Set[Int]): Map[Int, CellRepair] = {
-    lazy val nonErrorValues = trainRows.filterNot(errors).map(values).toVector
+    lazy val nonErrorValues = trainRows.filterNot(errors).map(values).toVector.distinct
     errors.iterator.map(r => r -> repair(r, nonErrorValues)).toMap
   }
 

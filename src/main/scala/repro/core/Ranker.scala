@@ -36,9 +36,7 @@ object Ranker {
            w: Weights = default, editDistanceOnly: Boolean = false): Vector[Scored] = {
     val scored = candidates.map { c =>
       val d = Strings.lev(original, c.repaired)
-      val closest =
-        if (columnValues.isEmpty) 0
-        else columnValues.iterator.map(v => Strings.lev(c.repaired, v)).min
+      def closest = if (columnValues.isEmpty) 0 else Strings.closestLev(c.repaired, columnValues)
       val score =
         if (editDistanceOnly) -c.cost.toDouble
         else -w.wEdit * c.cost - w.wAlnum * c.alnumEdits - w.wClosest * closest + w.wCov * c.coverage

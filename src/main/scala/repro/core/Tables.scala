@@ -36,10 +36,88 @@ object Table {
 
 /** Small string utilities shared across the repo. */
 object Strings {
-  /** Levenshtein edit distance. */
-  def lev(a: String, b: String): Int = {
-    if (a.isEmpty) return b.length
-    if (b.isEmpty) return a.length
+
+  /** Levenshtein edit distance over UTF-16 code units. The shorter string is
+    * the bit-parallel kernel's pattern; when both are longer than one word
+    * (64 chars) the row-by-row dynamic program runs instead.
+    */
+  def lev(a: String, b: String): Int =
+    if (a.length > b.length) lev(b, a)
+    else if (a.length <= 64) new BitLev(a).distance(b)
+    else levDp(a, b)
+
+  /** `min(lev(p, v))` over the non-empty `values`. It builds `p`'s bitmasks
+    * once and skips a value whose length differs from `p`'s by at least the
+    * best distance so far, since the length difference bounds the distance
+    * from below; it stops at distance 0.
+    */
+  def closestLev(p: String, values: Iterable[String]): Int = {
+    require(values.nonEmpty, "closestLev over no values")
+    val kernel = if (p.length <= 64) new BitLev(p) else null
+    var best = Int.MaxValue
+    val it = values.iterator
+    while (best > 0 && it.hasNext) {
+      val v = it.next()
+      if (math.abs(v.length - p.length) < best)
+        best = math.min(best, if (kernel != null) kernel.distance(v) else lev(p, v))
+    }
+    best
+  }
+
+  /** Myers' bit-vector Levenshtein (JACM 1999) in the global-distance form
+    * of Hyyrö (Nordic J. Computing 2003): column j of the DP between the
+    * pattern and a text is held as vertical +1/−1 delta bits, one bit per
+    * pattern char, and advanced a whole column per text char. Bit i of
+    * `eq(c)` is set when `p(i) == c`; ASCII chars index a table, others a
+    * short scan list of `p`'s distinct non-ASCII chars.
+    */
+  private final class BitLev(p: String) {
+    require(p.length <= 64)
+    private val ascii = new Array[Long](128)
+    private val others: Array[Char] =
+      if (p.forall(_ < 128)) Array.emptyCharArray else p.filter(_ >= 128).distinct.toCharArray
+    private val otherMasks = new Array[Long](others.length)
+    for (i <- p.indices) {
+      val c = p(i)
+      if (c < 128) ascii(c) |= 1L << i else otherMasks(others.indexOf(c)) |= 1L << i
+    }
+
+    private def eq(c: Char): Long =
+      if (c < 128) ascii(c)
+      else {
+        var k = 0
+        while (k < others.length && others(k) != c) k += 1
+        if (k < others.length) otherMasks(k) else 0L
+      }
+
+    /** `lev(p, t)`. */
+    def distance(t: String): Int = {
+      val m = p.length
+      if (m == 0) return t.length
+      val last = 1L << (m - 1)
+      var vp = -1L
+      var vn = 0L
+      var dist = m
+      var j = 0
+      while (j < t.length) {
+        val x = eq(t.charAt(j))
+        val d0 = (((x & vp) + vp) ^ vp) | x | vn
+        var hp = vn | ~(d0 | vp)
+        var hn = d0 & vp
+        if ((hp & last) != 0) dist += 1
+        else if ((hn & last) != 0) dist -= 1
+        hp = (hp << 1) | 1L
+        hn = hn << 1
+        vp = hn | ~(d0 | hp)
+        vn = hp & d0
+        j += 1
+      }
+      dist
+    }
+  }
+
+  /** The row-by-row Levenshtein DP, for strings longer than one word. */
+  private def levDp(a: String, b: String): Int = {
     val prev = Array.tabulate(b.length + 1)(identity)
     val cur  = new Array[Int](b.length + 1)
     for (i <- 1 to a.length) {
@@ -68,6 +146,41 @@ object Strings {
         d(i)(j) = math.min(d(i)(j), d(i - 2)(j - 2) + 1)
     }
     d(a.length)(b.length)
+  }
+
+  /** `min(damerau(a, b), k + 1)` for `k >= 0`: Ukkonen's cut-off DP (Inf.
+    * Control 1985) over the band |i − j| ≤ k, in three rolling rows, that
+    * stops once a row's minimum exceeds `k`. A cell outside the band, or
+    * above `k`, reads as `k + 1`. Row minima never decrease, since a
+    * transposition from row i − 2 costs at least the diagonal cell of row
+    * i − 1 it skips.
+    */
+  def damerauWithin(a: String, b: String, k: Int): Int = {
+    require(k >= 0, s"negative bound $k")
+    val over = k + 1
+    if (math.abs(a.length - b.length) > k) return over
+    val m = b.length
+    var before = new Array[Int](m + 1)
+    var prev = Array.tabulate(m + 1)(j => math.min(j, over))
+    var cur = new Array[Int](m + 1)
+    for (i <- 1 to a.length) {
+      val lo = math.max(1, i - k)
+      val hi = math.min(m, i + k)
+      cur(0) = math.min(i, over)
+      cur(lo - 1) = if (lo == 1) cur(0) else over
+      if (hi < m) cur(hi + 1) = over
+      var rowMin = cur(lo - 1)
+      for (j <- lo to hi) {
+        var d = math.min(prev(j - 1) + (if (a(i - 1) == b(j - 1)) 0 else 1), math.min(prev(j), cur(j - 1)) + 1)
+        if (i > 1 && j > 1 && a(i - 1) == b(j - 2) && a(i - 2) == b(j - 1))
+          d = math.min(d, before(j - 2) + 1)
+        cur(j) = math.min(d, over)
+        rowMin = math.min(rowMin, cur(j))
+      }
+      if (rowMin > k) return over
+      val t = before; before = prev; prev = cur; cur = t
+    }
+    prev(m)
   }
 
   /** True if the value parses as a number (Excel-style, ignoring thousands

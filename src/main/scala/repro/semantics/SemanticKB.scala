@@ -176,7 +176,7 @@ object SemanticKB {
     if (budget == 0) return None
     // the length difference bounds the edit distance from below
     val hits = normalizedForms.getOrElse(semType, Vector.empty).collect {
-      case (en, fn, s) if math.abs(s.length - t.length) <= budget => (en, fn, repro.core.Strings.damerau(t, s))
+      case (en, fn, s) if math.abs(s.length - t.length) <= budget => (en, fn, repro.core.Strings.damerauWithin(t, s, budget))
     }.filter(_._3 <= budget)
     if (hits.isEmpty) None
     else {

@@ -79,4 +79,30 @@ class StringsDifferentialSpec extends AnyFunSuite {
     }
     for (ls <- lens; l <- Seq(0, 1, 63, 64, 65, 80)) assert(ls(l), s"length $l never drawn")
   }
+
+  test("closestLev equals the minimum of the dynamic program over the values") {
+    val rng = new Random(71021L)
+    var exact = 0
+    for (_ <- 0 until 5000) {
+      val p = string(rng, length(rng))
+      val pool = Vector.fill(1 + rng.nextInt(5))(near(rng, p)) :+ ""
+      // repeats and empty strings, and now and then `p` itself
+      val vs = Vector.fill(1 + rng.nextInt(10))(pool(rng.nextInt(pool.length))) ++
+        (if (rng.nextInt(5) == 0) Vector(p) else Vector.empty)
+      val want = vs.map(StringsReference.lev(p, _)).min
+      assert(Strings.closestLev(p, vs) == want, s"'$p' in $vs")
+      if (want == 0) exact += 1
+    }
+    assert(exact >= 500, s"exact=$exact")
+  }
+
+  test("damerauWithin is damerau capped at k + 1") {
+    val rng = new Random(71022L)
+    for (_ <- 0 until 20000) {
+      val a = string(rng, rng.nextInt(25))
+      val b = if (rng.nextInt(4) == 0) string(rng, rng.nextInt(25)) else mutate(rng, a, rng.nextInt(5))
+      val k = rng.nextInt(5)
+      assert(Strings.damerauWithin(a, b, k) == math.min(Strings.damerau(a, b), k + 1), s"'$a' vs '$b', k = $k")
+    }
+  }
 }
