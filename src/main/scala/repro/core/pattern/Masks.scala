@@ -23,7 +23,9 @@ object Masks {
 
   private val typeToChar: Map[String, Char] =
     SemanticTypes.zipWithIndex.map { case (t, i) => t -> (Base + i).toChar }.toMap
-  private val charToType: Map[Char, String] = typeToChar.map(_.swap)
+
+  /** One past the last mask symbol. */
+  private val End: Int = Base + SemanticTypes.length
 
   /** Mask symbol for a semantic type; the type must be registered. */
   def charFor(semType: String): Char =
@@ -31,10 +33,10 @@ object Masks {
       throw new IllegalArgumentException(s"unknown semantic type: $semType"))
 
   /** Semantic type of a mask symbol, if `c` is one. */
-  def typeFor(c: Char): Option[String] = charToType.get(c)
+  def typeFor(c: Char): Option[String] = if (isMask(c)) Some(SemanticTypes(c - Base)) else None
 
   /** True iff `c` is a semantic-mask symbol. */
-  def isMask(c: Char): Boolean = charToType.contains(c)
+  def isMask(c: Char): Boolean = c >= Base && c < End
 
   /** True iff `s` contains at least one mask symbol. */
   def hasMask(s: String): Boolean = s.exists(isMask)

@@ -111,6 +111,15 @@ class PatternSpec extends AnyFunSuite {
     assert(Masks.SemanticTypes.size == 20)
   }
 
+  test("isMask and typeFor agree with charFor on every char") {
+    val byChar = Masks.SemanticTypes.map(t => Masks.charFor(t) -> t).toMap
+    for (i <- 0 until 65536) {
+      val c = i.toChar
+      assert(Masks.isMask(c) == byChar.contains(c), f"isMask(U+$i%04X)")
+      assert(Masks.typeFor(c) == byChar.get(c), f"typeFor(U+$i%04X)")
+    }
+  }
+
   test("mask show renders readable form") {
     val m = Masks.charFor("country")
     assert(Masks.show(s"$m-123") == "{country}-123")
