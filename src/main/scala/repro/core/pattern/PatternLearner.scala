@@ -197,7 +197,8 @@ object PatternLearner {
     var progress = true
     while (ps.length > k && progress) {
       progress = false
-      val byCov = ps.sortBy(p => p.coverage(vs))
+      // coverage once per pattern: sortBy would rescan the column per comparison
+      val byCov = ps.map(p => p -> p.coverage(vs)).sortBy(_._2).map(_._1)
       val pair = (for {
         i <- byCov.indices.iterator
         j <- (i + 1 until byCov.length).iterator
