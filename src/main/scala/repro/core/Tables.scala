@@ -131,9 +131,10 @@ object Strings {
     prev(b.length)
   }
 
-  /** Damerau-Levenshtein distance (with adjacent transpositions) — used for
-    * fuzzy entity matching so `bleu → blue` counts as one edit, as the
-    * paper's LLM-repair examples assume.
+  /** Damerau-Levenshtein distance (with adjacent transpositions, in the
+    * optimal-string-alignment form), so `bleu → blue` counts as one edit,
+    * as the paper's LLM-repair examples assume. Fuzzy entity matching uses
+    * its cut-off form, [[damerauWithin]].
     */
   def damerau(a: String, b: String): Int = {
     val d = Array.ofDim[Int](a.length + 1, b.length + 1)
@@ -167,7 +168,7 @@ object Strings {
       val lo = math.max(1, i - k)
       val hi = math.min(m, i + k)
       cur(0) = math.min(i, over)
-      cur(lo - 1) = if (lo == 1) cur(0) else over
+      if (lo > 1) cur(lo - 1) = over
       if (hi < m) cur(hi + 1) = over
       var rowMin = cur(lo - 1)
       for (j <- lo to hi) {
