@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.pattern.Pattern
-import repro.core.repair.Predicates
+import repro.core.repair.{DecisionTree, Predicates}
 
 /** The DataVinci pipeline (§3): semantic abstraction → significant-pattern
   * learning → error detection → minimal abstract edit programs → learned
@@ -9,7 +9,9 @@ import repro.core.repair.Predicates
   */
 object DataVinci {
 
-  /** Pipeline configuration; the flags mirror the Table-9 ablations. */
+  /** Pipeline configuration: δ and the four Table-9 ablation switches. The
+    * other parameters are the paper's fixed defaults.
+    */
   final case class Config(
       /** Coverage threshold δ for significant patterns. Calibrated so the
         * paper's worked examples behave identically: `C[0-9]{2}` at 3/11
@@ -17,8 +19,6 @@ object DataVinci {
         * is not (the `S1.4` example of §5.1).
         */
       delta: Double = 0.25,
-      /** Max number of learned patterns (FlashProfile's k). */
-      maxPatterns: Int = 8,
       /** Semantic abstraction on/off ("No semantic abstraction" ablation). */
       semantic: Boolean = true,
       /** Reuse the original substring when re-concretizing masks
@@ -29,12 +29,16 @@ object DataVinci {
       learnedConcretization: Boolean = true,
       /** Rank only by edit distance ("Edit distance ranking" ablation). */
       editDistanceRanking: Boolean = false,
-      /** Decision-tree accuracy filter α. */
-      alpha: Double = 0.8,
-      /** Cap on enumerated candidates per (error, pattern). */
-      maxCandidates: Int = 30,
-      weights: Ranker.Weights = Ranker.default,
-  )
+  ) {
+    /** Max number of learned patterns (FlashProfile's k). */
+    val maxPatterns: Int = 8
+    /** Decision-tree accuracy filter α. */
+    val alpha: Double = DecisionTree.DefaultAlpha
+    /** Cap on enumerated candidates per (error, edit program). */
+    val maxCandidates: Int = 30
+    /** Ranker weights (§3.5). */
+    val weights: Ranker.Weights = Ranker.default
+  }
 
   /** Detection + repair outcome for one cell. */
   final case class CellRepair(row: Int, original: String,

@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.core.DataVinci.{CellRepair, Config}
-import repro.core.pattern._
-import repro.core.repair._
+import repro.core.pattern.{Pattern, PatternLearner}
+import repro.core.repair.{Concretizer, Predicates}
 import repro.semantics.{MaskedValue, SemanticMasker}
 
 /** The pattern model of one column (§3): the column's masked values, the
@@ -50,63 +50,12 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
   /** Repair one erroneous cell against every significant pattern and rank. */
   private def repair(row: Int, nonErrorValues: Vector[String]): CellRepair = {
     val original = values(row)
-    val mv = mvs(row)
     val cands = concretizers.flatMap { case (p, cov, con) =>
-      val dag = con.dag(mv.masked.length)
-      EditDp.minimalRepairs(dag, mv.masked).flatMap { rep =>
-        val edits = PatternModel.alnumEdits(dag, rep, mv.masked)
-        concretize(rep, con, row, mv).map(s => Ranker.Candidate(s, p.pretty, cov, edits, rep.cost))
+      con.candidates(row, cfg.learnedConcretization, cfg.maxCandidates).collect {
+        case (s, edits, cost) if s != original => Ranker.Candidate(s, p.pretty, cov, edits, cost)
       }
-    }.filter(_.repaired != original)
+    }
     val ranked = Ranker.rank(original, cands, nonErrorValues, cfg.weights, cfg.editDistanceRanking)
     CellRepair(row, original, ranked.headOption.map(_.repaired), ranked.take(5))
-  }
-
-  /** Resolve the abstract emit units of a repair into concrete strings.
-    * Learned mode has one option per unit, so it yields one candidate;
-    * enumeration mode (the "no learned concretization" ablation) yields the
-    * capped cross-product.
-    */
-  private def concretize(rep: AbstractRepair, con: Concretizer, row: Int,
-                         mv: MaskedValue): Vector[String] = {
-    def ownSuggestion(pos: Int): String = {
-      val occIdx = mv.masked.take(pos).count(Masks.isMask)
-      mv.occs.lift(occIdx).map(_.suggestion)
-        .getOrElse(mv.occs.headOption.map(_.suggestion).getOrElse(""))
-    }
-    val learned = cfg.learnedConcretization
-    rep.emitted.foldLeft(Vector("")) { (acc, unit) =>
-      val opts: Vector[String] = unit match {
-        case EChar(c) =>
-          Vector(if (Masks.isMask(c)) ownSuggestion(mv.masked.indexOf(c)) else c.toString)
-        case EMask(_, _, Some(pos)) => Vector(ownSuggestion(pos))
-        case u => if (learned) Vector(con.concretize(u, row)) else con.enumerate(u)
-      }
-      acc.flatMap(p => opts.map(p + _)).take(cfg.maxCandidates)
-    }.distinct
-  }
-}
-
-private[core] object PatternModel {
-
-  /** Count edit operations touching alphanumeric (or semantic) characters —
-    * ranker feature (2) of §3.5.
-    */
-  private def alnumEdits(dag: Dag, rep: AbstractRepair, maskedIn: String): Int = {
-    def alnumAt(i: Int): Boolean =
-      i >= 0 && i < maskedIn.length && { val c = maskedIn(i); c.isLetterOrDigit || Masks.isMask(c) }
-    rep.steps.count { st =>
-      st.move match {
-        case Move.MatchM => false
-        case Move.Del    => alnumAt(st.inIdx)
-        case _ =>
-          // a substitution destroying an alphanumeric input char counts too
-          (st.move == Move.Sub && alnumAt(st.inIdx)) || (dag.edges(st.edge).label match {
-            case LitLabel(c)  => c.isLetterOrDigit
-            case ClsLabel(cc) => cc != CharClassT.Space
-            case MaskLabel(_) => true
-          })
-      }
-    }
   }
 }

@@ -18,7 +18,6 @@ final case class Table(cols: Vector[Column]) {
   def numCols: Int = cols.length
 
   def col(i: Int): Column = cols(i)
-  def colIdx(name: String): Int = cols.indexWhere(_.name == name)
 
   /** Row as name → value. */
   def row(i: Int): Map[String, String] = cols.map(c => c.name -> c.values(i)).toMap

@@ -38,9 +38,6 @@ object Masks {
   /** True iff `c` is a semantic-mask symbol. */
   def isMask(c: Char): Boolean = c >= Base && c < End
 
-  /** True iff `s` contains at least one mask symbol. */
-  def hasMask(s: String): Boolean = s.exists(isMask)
-
   /** Human-readable rendering of a masked string (for logs and tests). */
   def show(s: String): String =
     s.flatMap(c => typeFor(c).map(t => s"{$t}").getOrElse(c.toString))

@@ -125,10 +125,7 @@ object PatternLearner {
 
   /** Merge patterns sharing a repetition unit into a single `(unit)+`. */
   private[pattern] def mergeRepetitions(patterns: Vector[Pattern]): Vector[Pattern] = {
-    val analyzed = patterns.map { p =>
-      if (p.toks.exists(_.isInstanceOf[Group])) (p.toks, 1, p) // already grouped
-      else { val (u, r) = smallestUnit(p.toks); (u, r, p) }
-    }
+    val analyzed = patterns.map { p => val (u, r) = smallestUnit(p.toks); (u, r, p) }
     // group by unit arity+signature; units unify pairwise
     val out = Vector.newBuilder[Pattern]
     val used = Array.fill(analyzed.length)(false)

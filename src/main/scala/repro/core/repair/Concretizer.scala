@@ -5,7 +5,8 @@ import repro.core.pattern.{Masks, Pattern}
 import repro.core.repair.Predicates.Feature
 import scala.collection.mutable
 
-/** Concretization constraints for one significant pattern (§3.4).
+/** The repair side of one significant pattern: it turns a flagged row into
+  * candidate strings (§3.3–3.4), and is the only module that does.
   *
   * For every abstract slot (character class, disjunction occurrence, or
   * semantic mask) we collect training examples from the rows whose value
@@ -13,7 +14,9 @@ import scala.collection.mutable
   * suggestion that allowed the transition — in one table keyed by slot, and
   * learn a small decision tree per slot over the table's predicate
   * features. Prediction falls back to the majority label at the slot, then
-  * at the token, when no tree reaches the accuracy threshold α.
+  * at the token, when no tree reaches the accuracy threshold α. A flagged
+  * row's minimal edit programs come from the edit DP over the pattern's DAG
+  * for the value's length, and their abstract units are resolved here.
   */
 final class Concretizer(
     table: Table,
@@ -31,7 +34,13 @@ final class Concretizer(
   private val dags = mutable.Map.empty[Int, Dag]
 
   /** The pattern's DAG for values of length `len`, built once per length. */
-  private[core] def dag(len: Int): Dag = dags.getOrElseUpdate(len, Dag.build(pattern, len))
+  private def dag(len: Int): Dag = dags.getOrElseUpdate(len, Dag.build(pattern, len))
+
+  /** The entity suggestion of the mask at position `pos` of `row`'s masked
+    * value, by the mask's occurrence index.
+    */
+  private def suggestionAt(row: Int, pos: Int): Option[String] =
+    maskSuggestions(row).lift(maskedValues(row).take(pos).count(Masks.isMask))
 
   // ---- training examples -------------------------------------------------
 
@@ -39,19 +48,17 @@ final class Concretizer(
     * matching row: a class slot is labelled with the consumed character, a
     * disjunction occurrence `SlotKey(disjId, occ, 0)` with the chosen
     * alternative, and a mask slot with the row's entity suggestion. Captures
-    * are computed once per distinct matching value.
+    * are computed once per distinct matching value; every value in the
+    * pattern's language aligns on its DAG, the empty pattern's "" included.
     */
   private val bySlot: Map[SlotKey, Vector[(Int, String)]] = {
-    val captured = mutable.HashMap.empty[String, Option[EditDp.Captures]]
+    val captured = mutable.HashMap.empty[String, EditDp.Captures]
     matchingRows.flatMap { r =>
       val v = maskedValues(r)
-      captured.getOrElseUpdate(v, EditDp.captures(dag(v.length), v)).toVector.flatMap { c =>
-        c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++
-          c.disjChoice.map { case (slot, alt) => (slot, r, alt) } ++
-          c.maskAt.flatMap { case (slot, pos) =>
-            maskSuggestions(r).lift(v.take(pos).count(Masks.isMask)).map(sug => (slot, r, sug))
-          }
-      }
+      val c = captured.getOrElseUpdate(v, EditDp.captures(dag(v.length), v).get)
+      c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++
+        c.disjChoice.map { case (slot, alt) => (slot, r, alt) } ++
+        c.maskAt.flatMap { case (slot, pos) => suggestionAt(r, pos).map(sug => (slot, r, sug)) }
     }.groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
   }
 
@@ -77,43 +84,61 @@ final class Concretizer(
   private def observed(slot: SlotKey): Vector[String] =
     DecisionTree.byFrequency(bySlot.getOrElse(slot, byTok.getOrElse(slot.tokId, Vector.empty)).map(_._2))
 
-  // ---- public API --------------------------------------------------------
+  // ---- repair ------------------------------------------------------------
 
-  /** Concretize an abstract unit for an error row. A class substitution
-    * first tries to *transfer the consumed input character* into the class
-    * — case fold and visual-typo inverse (`0↔o`, `1↔l`, …) — which is what
-    * recovers capitalization flips and look-alike typos exactly. Otherwise
-    * the learned constraint or majority label applies, and without examples
-    * the class's first character, the first alternative, or the mask symbol.
-    * Masks reach here only when the edit program introduced them; masks
-    * carried over from the input keep their own LLM suggestion.
+  /** Candidate repairs of `row` into the pattern's language: for each minimal
+    * abstract edit program of its masked value (§3.3), the concretized
+    * strings, each with the program's alphanumeric edit count and cost. The
+    * strings are the cross-product of every emitted unit's [[options]],
+    * capped at `cap`; with `learned` each unit has one option, so each
+    * program yields one string.
     */
-  def concretize(unit: EmitUnit, row: Int): String = unit match {
-    case u: ECls =>
-      u.from.flatMap(Concretizer.foldInto(_, u.cc))
-        .orElse(predict(u.slot, row).flatMap(_.headOption))
-        .getOrElse(u.cc.sample.head).toString
-    case u: EDisj => predict(SlotKey(u.disjId, u.occ, 0), row).getOrElse(u.alts.head)
-    case u: EMask => predict(u.slot, row).getOrElse(Masks.charFor(u.semType).toString)
-    case EChar(c) => c.toString
+  def candidates(row: Int, learned: Boolean, cap: Int): Vector[(String, Int, Int)] = {
+    val v = maskedValues(row)
+    val d = dag(v.length)
+    EditDp.minimalRepairs(d, v).flatMap { rep =>
+      val edits = EditDp.alnumEdits(d, rep, v)
+      rep.emitted.foldLeft(Vector("")) { (acc, unit) =>
+        val opts = options(unit, row, learned)
+        acc.flatMap(p => opts.map(p + _)).take(cap)
+      }.distinct.map(s => (s, edits, rep.cost))
+    }
   }
 
-  /** Enumeration mode (the "no learned concretization" ablation): every
-    * candidate for an abstract unit. For a class, the input-derived fold,
-    * then the observed characters, most frequent first, then the class's
-    * others (at most 8); every alternative of a disjunction; the observed
-    * entity suggestions of a mask (at most 6).
+  /** The concrete strings an emitted unit may become at `row`. A mask carried
+    * over from the input keeps the row's own entity suggestion (§3.2).
+    *
+    * With `learned`, one string: a class substitution first tries to
+    * *transfer the consumed input character* into the class — case fold and
+    * visual-typo inverse (`0↔o`, `1↔l`, …) — which is what recovers
+    * capitalization flips and look-alike typos exactly. Otherwise the learned
+    * constraint or majority label applies, and without examples the class's
+    * first character, the first alternative, or the mask symbol.
+    *
+    * Without (the "no learned concretization" ablation), every candidate:
+    * for a class, the input-derived fold, then the observed characters, most
+    * frequent first, then the class's others (at most 8); every alternative
+    * of a disjunction; the observed entity suggestions of a mask (at most 6).
     */
-  def enumerate(unit: EmitUnit): Vector[String] = unit match {
-    case u: ECls =>
-      val fold = u.from.flatMap(Concretizer.foldInto(_, u.cc)).map(_.toString).toVector
-      val seen = observed(u.slot)
-      (fold ++ seen ++ u.cc.sample.map(_.toString).filterNot(seen.contains)).distinct.take(8)
-    case u: EDisj => u.alts
-    case u: EMask =>
-      val seen = observed(u.slot)
-      if (seen.isEmpty) Vector(Masks.charFor(u.semType).toString) else seen.take(6)
+  private def options(unit: EmitUnit, row: Int, learned: Boolean): Vector[String] = unit match {
     case EChar(c) => Vector(c.toString)
+    case EMask(_, _, Some(pos)) =>
+      Vector(suggestionAt(row, pos).orElse(maskSuggestions(row).headOption).getOrElse(""))
+    case u: ECls =>
+      val fold = u.from.flatMap(Concretizer.foldInto(_, u.cc))
+      if (learned) Vector(fold.orElse(predict(u.slot, row).flatMap(_.headOption)).getOrElse(u.cc.sample.head).toString)
+      else {
+        val seen = observed(u.slot)
+        (fold.map(_.toString).toVector ++ seen ++ u.cc.sample.map(_.toString).filterNot(seen.contains)).distinct.take(8)
+      }
+    case u: EDisj =>
+      if (learned) Vector(predict(SlotKey(u.disjId, u.occ, 0), row).getOrElse(u.alts.head)) else u.alts
+    case u: EMask =>
+      if (learned) Vector(predict(u.slot, row).getOrElse(Masks.charFor(u.semType).toString))
+      else {
+        val seen = observed(u.slot)
+        if (seen.isEmpty) Vector(Masks.charFor(u.semType).toString) else seen.take(6)
+      }
   }
 }
 

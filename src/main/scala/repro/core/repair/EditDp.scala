@@ -1,5 +1,6 @@
 package repro.core.repair
 
+import repro.core.pattern.{CharClassT, Masks}
 import scala.collection.mutable.ArrayBuffer
 
 /** The paper's COST/MOVES dynamic program (§3.3).
@@ -101,23 +102,24 @@ object EditDp {
     }
   }
 
-  /** Zero-cost alignment of a value in the pattern's language; `None` when
-    * `s` is not in it. This is the repair [[minimalRepairs]] returns first
-    * for such a value, all match moves, found without edit costs: it ends on
-    * the last accepting edge, and each edge follows its first aligned
-    * predecessor. Captures run it on every matching row.
+  /** Zero-cost alignment of a value in the pattern's language: the edge
+    * each input character traverses, or `None` when `s` is not in it. This is
+    * the path of the repair [[minimalRepairs]] returns first for such a
+    * value, all match moves, found without edit costs: it ends on the last
+    * accepting edge, and each edge follows its first aligned predecessor. An
+    * edgeless DAG (the empty pattern) aligns exactly "", with an empty path.
+    * Captures run it on every matching row.
     */
-  def align(dag: Dag, s: String): Option[AbstractRepair] = {
+  def align(dag: Dag, s: String): Option[Array[Int]] = {
     val n = s.length
+    if (dag.edges.isEmpty) return if (n == 0) Some(Array.emptyIntArray) else None
     // ok(i)(j): match moves consume s.take(i) and end on edge j
     val ok = Array.ofDim[Boolean](n + 1, dag.edges.length)
     def okAt(i: Int, jp: Int): Boolean = if (jp < 0) i == 0 else ok(i)(jp)
     for (i <- 1 to n; j <- dag.edges.indices)
       ok(i)(j) = dag.edges(j).label.matches(s(i - 1)) && dag.preds(j).exists(okAt(i - 1, _))
     dag.acceptingEdges.filter(ok(n)(_)).maxOption.map { last =>
-      val path  = (n until 1 by -1).scanLeft(last)((j, i) => dag.preds(j).find(okAt(i - 1, _)).get).reverse
-      val steps = path.zipWithIndex.map { case (j, k) => Step(Move.MatchM, j, k) }.toVector
-      AbstractRepair(0, steps, emit(dag, s, steps))
+      (n until 1 by -1).scanLeft(last)((j, i) => dag.preds(j).find(okAt(i - 1, _)).get).reverse.toArray
     }
   }
 
@@ -173,19 +175,40 @@ object EditDp {
     * DAG's language.
     */
   def captures(dag: Dag, s: String): Option[Captures] =
-    align(dag, s).map { r =>
+    align(dag, s).map { path =>
       var cls  = Map.empty[SlotKey, Char]
       var disj = Map.empty[SlotKey, String]
       var mask = Map.empty[SlotKey, Int]
-      for (st <- r.steps if st.move == Move.MatchM) {
-        val e = dag.edges(st.edge)
+      for (i <- path.indices) {
+        val e = dag.edges(path(i))
         e.label match {
-          case ClsLabel(_)  => cls += e.slot -> s(st.inIdx)
-          case MaskLabel(_) => mask += e.slot -> st.inIdx
+          case ClsLabel(_)  => cls += e.slot -> s(i)
+          case MaskLabel(_) => mask += e.slot -> i
           case LitLabel(_)  => ()
         }
         if (e.disjId >= 0) disj += SlotKey(e.disjId, e.slot.occ, 0) -> dag.disjAlts(e.disjId)(e.disjAlt)
       }
       Captures(cls, disj, mask)
     }
+
+  /** Edit operations of `rep` that touch alphanumeric (or semantic)
+    * characters of `s` or of the pattern — ranker feature (2) of §3.5.
+    */
+  private[repair] def alnumEdits(dag: Dag, rep: AbstractRepair, s: String): Int = {
+    def alnumAt(i: Int): Boolean =
+      i >= 0 && i < s.length && { val c = s(i); c.isLetterOrDigit || Masks.isMask(c) }
+    rep.steps.count { st =>
+      st.move match {
+        case Move.MatchM => false
+        case Move.Del    => alnumAt(st.inIdx)
+        case _ =>
+          // a substitution destroying an alphanumeric input char counts too
+          (st.move == Move.Sub && alnumAt(st.inIdx)) || (dag.edges(st.edge).label match {
+            case LitLabel(c)  => c.isLetterOrDigit
+            case ClsLabel(cc) => cc != CharClassT.Space
+            case MaskLabel(_) => true
+          })
+      }
+    }
+  }
 }

@@ -77,7 +77,4 @@ final case class EMask(semType: String, slot: SlotKey, fromInput: Option[Int]) e
 final case class EDisj(disjId: Int, occ: Vector[Int], alts: Vector[String]) extends EmitUnit
 
 /** A minimal abstract edit program for one (pattern, value) pair. */
-final case class AbstractRepair(cost: Int, steps: Vector[Step], emitted: Vector[EmitUnit]) {
-  /** Number of edit (non-match) operations. */
-  def editCount: Int = steps.count(_.move != Move.MatchM)
-}
+final case class AbstractRepair(cost: Int, steps: Vector[Step], emitted: Vector[EmitUnit])

@@ -111,6 +111,14 @@ class DataVinciSpec extends AnyFunSuite {
     assert(s.matches("[0-9]{2}:[0-9]{2}"))
   }
 
+  test("enumeration mode keeps a carried-over mask's own suggestion") {
+    val table = Table.of("id" -> Seq("US-123", "IN-292", "UK-021", "FR-456", "usa_837", "DE-777"))
+    val res = DataVinci.cleanColumn(table, 0, DataVinci.Config(learnedConcretization = false))
+    val cands = res.repairs(4).candidates.map(_.repaired)
+    assert(cands.nonEmpty)
+    assert(cands.forall(_.startsWith("US")), cands)
+  }
+
   test("edit-distance-only ranking is an available ablation") {
     val table = Table.of("t" -> Seq("04:34", "05:23", "04:38", "03.45", "03:34"))
     val res = DataVinci.cleanColumn(table, 0, DataVinci.Config(editDistanceRanking = true))

@@ -157,6 +157,14 @@ class EditDpSpec extends AnyFunSuite {
     assert(EditDp.align(Dag.build(p, 2), "A4").isEmpty)
   }
 
+  test("the empty pattern's edgeless DAG aligns exactly the empty string") {
+    val p = Pattern(Vector.empty[Tok])
+    assert(p.matches(""))
+    assert(EditDp.align(Dag.build(p, 0), "").isDefined)
+    assert(EditDp.captures(Dag.build(p, 0), "").contains(EditDp.Captures(Map.empty, Map.empty, Map.empty)))
+    assert(EditDp.align(Dag.build(p, 1), "x").isEmpty)
+  }
+
   test("captures record mask positions") {
     val p = Pattern(MaskTok("country"), Lit("-"), Cls(Digit, Some(3)))
     val m = Masks.charFor("country")
@@ -182,10 +190,5 @@ class EditDpSpec extends AnyFunSuite {
     assert(repair(p, "sitting").cost == repro.core.Strings.lev("kitten", "sitting"))
     assert(repair(p, "kitten").cost == 0)
     assert(repair(p, "").cost == 6)
-  }
-
-  test("editCount counts non-match steps") {
-    val r = repair(Pattern(Lit("abc")), "adc")
-    assert(r.editCount == 1)
   }
 }
