@@ -73,10 +73,6 @@ final case class Pattern(toks: Vector[Tok]) {
   /** Pretty form, e.g. `{country}-[0-9]+-(CAT|PRO)`. */
   def pretty: String = toks.map(_.pretty).mkString
 
-  /** Fraction of `values` matched by this pattern. */
-  def coverage(values: Seq[String]): Double =
-    if (values.isEmpty) 0.0 else values.count(matches).toDouble / values.size
-
   override def toString: String = s"Pattern(${pretty})"
 }
 

@@ -2,11 +2,13 @@ package repro.core.pattern
 
 import Tokenizer._
 
-/** FlashProfile-lite (§3.1): learns up to `k` regex patterns that jointly
-  * cover all values of a column, then selects the *significant* subset —
-  * patterns individually covering at least a fraction δ of the values.
+/** FlashProfile-lite (§3.1): learns regex patterns that jointly cover all
+  * values of a column, capped at `k` where patterns of equal arity can be
+  * unified (so more than `k` can come back), then selects the *significant*
+  * subset — patterns individually covering at least a fraction δ of the
+  * values.
   *
-  * Algorithm:
+  * Algorithm, over the column's distinct values with their row counts:
   *   1. cluster values by run signature (digit/alpha-shape/space/mask/punct);
   *   2. per cluster, refine each run position to the most specific token that
   *      covers the cluster: literal, small disjunction, or fixed-length /
@@ -14,8 +16,9 @@ import Tokenizer._
   *   3. detect repetitions (`unit` repeated r ≥ 2 times becomes `(unit)+`)
   *      and merge clusters that share a unit;
   *   4. while more than `k` patterns remain, unify the two least-covering
-  *      compatible patterns by token-wise generalization (class lub, literal
-  *      widening), stopping when nothing is compatible.
+  *      compatible patterns token by token (both tokens widen to a class,
+  *      whose lub is taken), stopping when nothing is compatible.
+  * Each pattern's coverage is counted once, when the pattern is made.
   */
 object PatternLearner {
 
@@ -31,34 +34,25 @@ object PatternLearner {
     val vs = values.toVector
     if (vs.isEmpty) return LearnedPatterns(Vector.empty)
 
-    val clusters: Vector[Vector[String]] =
-      vs.distinct.groupBy(signature).values.toVector
+    val rows = vs.groupMapReduce(identity)(_ => 1)(_ + _).toVector
+    def coverage(p: Pattern): Double =
+      rows.iterator.collect { case (v, n) if p.matches(v) => n }.sum.toDouble / vs.size
 
-    var patterns = clusters.map(clusterPattern)
-    patterns = mergeRepetitions(patterns)
-    patterns = capPatterns(patterns, vs, k)
-
-    val withCov = patterns.distinct
-      .map(p => p -> p.coverage(vs))
-      .sortBy { case (p, c) => (-c, p.pretty) }
-    LearnedPatterns(withCov)
+    val clusters = vs.distinct.map(runs).groupBy(_.map(sigOf)).values.toVector
+    val patterns = mergeRepetitions(clusters.map(clusterPattern)).map(p => p -> coverage(p))
+    LearnedPatterns(capPatterns(patterns, k, coverage).sortBy { case (p, c) => (-c, p.pretty) })
   }
 
   // ---------------------------------------------------------------- step 2
 
-  /** Most specific pattern covering every value of one signature cluster. */
-  private[pattern] def clusterPattern(cluster: Vector[String]): Pattern = {
-    val runss = cluster.map(runs)
-    val arity = runss.head.length
-    val toks = (0 until arity).toVector.map { i =>
-      val col = runss.map(_(i))
-      refine(col, cluster.size)
-    }
-    Pattern(toks)
-  }
+  /** Most specific pattern covering every value (given as its runs) of one
+    * signature cluster.
+    */
+  private def clusterPattern(runss: Vector[Vector[Run]]): Pattern =
+    Pattern((0 until runss.head.length).toVector.map(i => refine(runss.map(_(i)))))
 
   /** Refine one run position across a cluster into a token. */
-  private def refine(col: Vector[Run], clusterSize: Int): Tok = {
+  private def refine(col: Vector[Run]): Tok = {
     val texts    = col.map(_.text)
     val distinct = texts.distinct
     col.head match {
@@ -150,36 +144,26 @@ object PatternLearner {
 
   // ---------------------------------------------------------------- step 4
 
-  /** Token-wise generalization; `None` when the tokens are incompatible. */
-  private[pattern] def unifyTok(a: Tok, b: Tok): Option[Tok] = (a, b) match {
-    case (x, y) if x == y => Some(x)
-    case (MaskTok(x), MaskTok(y)) => if (x == y) Some(a) else None
-    case (Lit(x), Lit(y)) =>
-      classOfText(x).flatMap(cx => classOfText(y).map { cy =>
-        Cls(CharClassT.lub(cx, cy), if (x.length == y.length) Some(x.length) else None)
-      })
-    case (Cls(c1, l1), Cls(c2, l2)) =>
-      Some(Cls(CharClassT.lub(c1, c2), if (l1 == l2) l1 else None))
-    case (Cls(c, l), Lit(s)) =>
-      classOfText(s).map(cs => Cls(CharClassT.lub(c, cs),
-        if (l.contains(s.length)) l else None))
-    case (l: Lit, c: Cls) => unifyTok(c, l)
-    case (Disj(xs), Lit(s))  => unifyTok(Cls(disjClass(xs), disjLen(xs)), Lit(s))
-    case (Lit(s), Disj(xs))  => unifyTok(Disj(xs), Lit(s))
-    case (Disj(xs), Cls(c, l)) => unifyTok(Cls(disjClass(xs), disjLen(xs)), Cls(c, l))
-    case (Cls(c, l), Disj(xs)) => unifyTok(Disj(xs), Cls(c, l))
-    case (Disj(xs), Disj(ys)) =>
-      unifyTok(Cls(disjClass(xs), disjLen(xs)), Cls(disjClass(ys), disjLen(ys)))
-    case _ => None
+  /** Token-wise generalization; `None` when the tokens are incompatible.
+    * Unequal tokens unify only when both [[widen]] to a class.
+    */
+  private[pattern] def unifyTok(a: Tok, b: Tok): Option[Tok] =
+    if (a == b) Some(a)
+    else for (x <- widen(a); y <- widen(b))
+      yield Cls(CharClassT.lub(x.cc, y.cc), if (x.len == y.len) x.len else None)
+
+  /** The class a token widens to: a literal whose chars are all classed
+    * keeps its length, a disjunction keeps its alternatives' common length.
+    */
+  private def widen(t: Tok): Option[Cls] = t match {
+    case c: Cls     => Some(c)
+    case Lit(s)     => classOfText(s).map(Cls(_, Some(s.length)))
+    case Disj(alts) => Some(Cls(disjClass(alts), fixedLen(alts)))
+    case _          => None
   }
 
   private def disjClass(alts: Vector[String]): CharClassT =
     alts.flatMap(classOfText).reduceOption(CharClassT.lub).getOrElse(CharClassT.AlphaNumSpace)
-
-  private def disjLen(alts: Vector[String]): Option[Int] = {
-    val lens = alts.map(_.length).distinct
-    if (lens.size == 1) Some(lens.head) else None
-  }
 
   /** Most specific class covering every char of `s`, if all chars are classed. */
   private def classOfText(s: String): Option[CharClassT] = {
@@ -188,24 +172,25 @@ object PatternLearner {
     else Some(cs.flatten.reduce(CharClassT.lub))
   }
 
-  /** Reduce to ≤ k patterns by unifying least-covering compatible pairs. */
-  private def capPatterns(patterns: Vector[Pattern], vs: Vector[String], k: Int): Vector[Pattern] = {
-    var ps = patterns.distinct
+  /** While more than `k` patterns remain, unify the least-covering pair of
+    * equal arity; only the unified pattern's coverage is counted. Patterns of
+    * different arities never unify, so more than `k` can remain.
+    */
+  private def capPatterns(patterns: Vector[(Pattern, Double)], k: Int,
+                          coverage: Pattern => Double): Vector[(Pattern, Double)] = {
+    var ps = patterns
     var progress = true
     while (ps.length > k && progress) {
-      progress = false
-      // coverage once per pattern: sortBy would rescan the column per comparison
-      val byCov = ps.map(p => p -> p.coverage(vs)).sortBy(_._2).map(_._1)
+      val byCov = ps.sortBy(_._2).map(_._1)
       val pair = (for {
         i <- byCov.indices.iterator
         j <- (i + 1 until byCov.length).iterator
         u <- unifyPattern(byCov(i), byCov(j)).iterator
-      } yield (byCov(i), byCov(j), u)).take(1).toSeq.headOption
-      pair match {
-        case Some((a, b, u)) =>
-          ps = (ps.filterNot(p => p == a || p == b) :+ u).distinct
-          progress = true
-        case None => progress = false
+      } yield (byCov(i), byCov(j), u)).nextOption()
+      progress = pair.isDefined
+      pair.foreach { case (a, b, u) =>
+        val rest = ps.filterNot { case (p, _) => p == a || p == b }
+        ps = if (rest.exists(_._1 == u)) rest else rest :+ (u -> coverage(u))
       }
     }
     ps

@@ -66,12 +66,6 @@ class PatternSpec extends AnyFunSuite {
     assert(!p.matches("axb1"))
   }
 
-  test("coverage counts multiplicities") {
-    val p = Pattern(Cls(Digit, None))
-    assert(p.coverage(Seq("1", "2", "x", "3")) == 0.75)
-    assert(p.coverage(Seq.empty) == 0.0)
-  }
-
   test("pretty forms") {
     assert(Pattern(Lit("Q"), Cls(Digit, Some(1)), Lit("-"), Cls(Digit, None)).pretty == "Q[0-9]-[0-9]+")
     assert(Pattern(Disj(Vector("CAT", "PRO"))).pretty == "(CAT|PRO)")
