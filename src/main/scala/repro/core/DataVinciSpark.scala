@@ -9,10 +9,13 @@ import repro.core.repair.Predicates
   * as a UDF over partitions — the distributed-dataflow rendering of the
   * paper's per-column majority-pattern pipeline.
   *
-  * The broadcast model carries the significant-pattern regexes and the
-  * repair map for every distinct erroneous value seen at learning time;
-  * unseen values are still *detected* by regex membership on the executors
-  * (repair for unseen values would need the row context and is left null).
+  * The broadcast model carries the significant-pattern regexes, the values
+  * the model flagged at learning time and the repair map for them. A value
+  * is an error when the model flagged it (a semantic error such as a
+  * misspelled city matches its mask's alternation, which holds the
+  * misspelled surface) or when it matches no regex; unseen values are so
+  * still *detected* on the executors (repair for unseen values would need
+  * the row context and is left null).
   */
 object DataVinciSpark {
 
@@ -23,7 +26,7 @@ object DataVinciSpark {
     @transient private lazy val compiled =
       patternRegexes.map(java.util.regex.Pattern.compile)
     def isError(v: String): Boolean =
-      patternRegexes.nonEmpty && !compiled.exists(_.matcher(v).matches())
+      errorValues(v) || patternRegexes.nonEmpty && !compiled.exists(_.matcher(v).matches())
     def repair(v: String): Option[String] = repairs.get(v)
   }
 

@@ -62,6 +62,13 @@ class DataVinciSparkSpec extends SparkSpec {
     }
   }
 
+  test("repairColumn flags and repairs a misspelled entity that matches its mask's alternation") {
+    val cities = Seq("London", "Paris", "Birmingham", "Berlin", "Madrid", "Birminxham", "Rome", "Paris").toDF("city")
+    val flagged = DataVinciSpark.repairColumn(cities, "city").filter($"city__error")
+      .select("city", "city__error", "city__repair").as[(String, Boolean, String)].collect()
+    assert(flagged.toSeq == Seq(("Birminxham", true, "Birmingham")))
+  }
+
   test("learnColumnModel produces concrete regexes for masked columns") {
     val values = Vector("US-123", "IN-292", "UK-021", "FR-456", "DE-777", "usa_837")
     val model = DataVinciSpark.learnColumnModel(values)
