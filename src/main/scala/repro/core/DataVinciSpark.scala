@@ -13,9 +13,9 @@ import repro.core.repair.Predicates
   * the model flagged at learning time and the repair map for them. A value
   * is an error when the model flagged it (a semantic error such as a
   * misspelled city matches its mask's alternation, which holds the
-  * misspelled surface) or when it matches no regex; unseen values are so
-  * still *detected* on the executors (repair for unseen values would need
-  * the row context and is left null).
+  * misspelled surface) or when it matches no regex, so values unseen at
+  * learning time are still *detected* on the executors (their repair would
+  * need the row context and is left null).
   */
 object DataVinciSpark {
 

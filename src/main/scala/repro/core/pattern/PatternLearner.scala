@@ -1,5 +1,6 @@
 package repro.core.pattern
 
+import scala.collection.mutable
 import Tokenizer._
 
 /** FlashProfile-lite (§3.1): learns regex patterns that jointly cover all
@@ -34,11 +35,13 @@ object PatternLearner {
     val vs = values.toVector
     if (vs.isEmpty) return LearnedPatterns(Vector.empty)
 
-    val rows = vs.groupMapReduce(identity)(_ => 1)(_ + _).toVector
+    // each distinct value's row count, in first-seen order
+    val rows = mutable.LinkedHashMap.empty[String, Int]
+    vs.foreach(v => rows(v) = rows.getOrElse(v, 0) + 1)
     def coverage(p: Pattern): Double =
       rows.iterator.collect { case (v, n) if p.matches(v) => n }.sum.toDouble / vs.size
 
-    val clusters = vs.distinct.map(runs).groupBy(_.map(sigOf)).values.toVector
+    val clusters = rows.keys.toVector.map(runs).groupBy(_.map(sigOf)).values.toVector
     val patterns = mergeRepetitions(clusters.map(clusterPattern)).map(p => p -> coverage(p))
     LearnedPatterns(capPatterns(patterns, k, coverage).sortBy { case (p, c) => (-c, p.pretty) })
   }
