@@ -50,10 +50,8 @@ class DecisionTreeDifferentialSpec extends AnyFunSuite {
   /** One random (features, examples, alpha) case over a table of 1–90 rows. */
   private def randomCase(rng: Random): (Vector[Feature], Vector[(Int, String)], Double) = {
     val nRows = 1 + rng.nextInt(90)
-    // examples: distinct rows, or rows drawn with repeats
-    val rows =
-      if (rng.nextBoolean()) rng.shuffle(Vector.range(0, nRows)).take(1 + rng.nextInt(nRows))
-      else Vector.fill(1 + rng.nextInt(90))(rng.nextInt(nRows))
+    // examples: distinct rows in random order, as `Concretizer` sends them
+    val rows = rng.shuffle(Vector.range(0, nRows)).take(1 + rng.nextInt(nRows))
     val onExamples = rows.toSet
 
     val feats = Vector.newBuilder[Feature]

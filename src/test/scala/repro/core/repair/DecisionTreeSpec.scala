@@ -152,7 +152,7 @@ class PredicatesSpec extends AnyFunSuite {
   }
 
   test("features span all columns") {
-    val t  = Table.of("a" -> Seq("1", "2"), "b" -> Seq("x", "y"))
+    val t  = Table.of("a" -> Seq("1", "2", "2"), "b" -> Seq("x", "x", "y"))
     val fs = Predicates.featuresOf(t)
     assert(fs.exists(_.name.contains("(a,")))
     assert(fs.exists(_.name.contains("(b,")))
@@ -165,10 +165,10 @@ class PredicatesSpec extends AnyFunSuite {
   }
 
   test("hasDigits / isNum / isNA behave") {
-    val t  = Table.of("c" -> Seq("12", "ab", "n/a"))
+    val t  = Table.of("c" -> Seq("12", "a1", "3.5", "n/a", "", "xy"))
     val fs = Predicates.featuresOf(t)
-    assert(fs.find(_.name == "hasDigits(c)").get.values.toSeq == Seq(true, false, false))
-    assert(fs.find(_.name == "isNum(c)").get.values.toSeq == Seq(true, false, false))
-    assert(fs.find(_.name == "isNA(c)").get.values.toSeq == Seq(false, false, true))
+    assert(fs.find(_.name == "hasDigits(c)").get.values.toSeq == Seq(true, true, true, false, false, false))
+    assert(fs.find(_.name == "isNum(c)").get.values.toSeq == Seq(true, false, true, false, false, false))
+    assert(fs.find(_.name == "isNA(c)").get.values.toSeq == Seq(false, false, false, true, true, false))
   }
 }
