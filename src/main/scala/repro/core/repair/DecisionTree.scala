@@ -2,9 +2,6 @@ package repro.core.repair
 
 import repro.core.repair.Predicates.Feature
 
-import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
-
 /** Small decision trees over boolean features predicting string labels — the
   * concretization constraints of §3.4.
   *
@@ -19,14 +16,10 @@ import scala.collection.mutable
   * smallest qualifying tree this search reaches. Truncation is exact because
   * a node's split does not depend on the depth left below it.
   *
-  * `learn` is a counting kernel. Example *positions* (not row ids, so a
-  * repeated row counts twice) are bits of an `Array[Long]`; each label and
-  * each feature's projection onto the examples (its row bit read at every
-  * example's row) is one such bitset, and a node is the bitset of its
-  * examples. A split's error comes from popcounts of node ∧ feature ∧
-  * label. Only the first feature of each distinct
-  * projection is searched: a later copy has the same error at every node and
-  * a higher index, so it never wins the tie-break. A node's leaf label is its
+  * `learn` is a counting kernel over table rows, in `Feature.bits`' layout:
+  * each label is the bitset of its examples' rows, and a node is the bitset
+  * of its examples. A split's error comes from popcounts of node ∧ feature ∧
+  * label, so each example's row must be distinct. A node's leaf label is its
   * most frequent label (ties by label), and a truncated tree's training
   * accuracy is the sum of its leaves' most frequent label counts over the
   * number of examples.
@@ -54,8 +47,8 @@ object DecisionTree {
 
   private val MaxDepth = 3
 
-  /** Learn a tree over `examples` (rowIdx → label) with accuracy ≥ `alpha`;
-    * `None` when no tree up to depth 3 qualifies.
+  /** Learn a tree over `examples` (rowIdx → label, each row at most once)
+    * with accuracy ≥ `alpha`; `None` when no tree up to depth 3 qualifies.
     */
   def learn(feats: Vector[Feature], examples: Vector[(Int, String)],
             alpha: Double = DefaultAlpha): Option[DTree] =
@@ -81,44 +74,26 @@ object DecisionTree {
 
   private def andNot(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & ~b(w))
 
-  /** Bitsets over the positions of non-empty `examples`. */
+  /** Row bitsets of non-empty `examples`. */
   private final class Kernel(feats: Vector[Feature], examples: Vector[(Int, String)]) {
-    private val n      = examples.size
-    private val words  = (n + 63) >>> 6
-    private val labels = examples.map(_._2).distinct.sorted.toArray
-    private val rows   = examples.map(_._1).toArray
+    private val words    = (examples.iterator.map(_._1).max >>> 6) + 1
+    private val labels   = examples.map(_._2).distinct.sorted.toArray
+    private val featBits = feats.iterator.map(_.bits).toArray
 
-    private def bitset(p: Int => Boolean): Array[Long] = {
-      val bits = new Array[Long](words)
-      var i = 0
-      while (i < n) { if (p(i)) bits(i >>> 6) |= 1L << i; i += 1 }
-      bits
+    /** The rows of each label, and of all examples. */
+    private val (labelBits, all): (Array[Array[Long]], Array[Long]) = {
+      val id   = labels.zipWithIndex.toMap
+      val bits = Array.fill(labels.length)(new Array[Long](words))
+      val all  = new Array[Long](words)
+      for ((r, l) <- examples) {
+        require((all(r >>> 6) & (1L << r)) == 0, s"row $r repeats in the examples")
+        all(r >>> 6) |= 1L << r
+        bits(id(l))(r >>> 6) |= 1L << r
+      }
+      (bits, all)
     }
 
-    private val labelBits: Array[Array[Long]] = {
-      val id = labels.zipWithIndex.toMap
-      val ls = examples.map(e => id(e._2)).toArray
-      Array.tabulate(labels.length)(l => bitset(ls(_) == l))
-    }
-
-    /** (index into `feats`, projection) of each feature whose projection no
-      * lower-indexed feature has, in ascending index.
-      */
-    private val (featIds, featBits): (Array[Int], Array[Array[Long]]) = {
-      val seen = mutable.HashSet.empty[ArraySeq[Long]]
-      feats.indices.iterator.map(fi => (fi, project(feats(fi))))
-        .filter { case (_, bits) => seen.add(ArraySeq.unsafeWrapArray(bits)) }.toArray.unzip
-    }
-
-    /** `feat`'s bit at each example's row, as a bitset over positions. */
-    private def project(feat: Feature): Array[Long] = {
-      val bits = new Array[Long](words)
-      var i = 0
-      while (i < n) { if (feat(rows(i))) bits(i >>> 6) |= 1L << i; i += 1 }
-      bits
-    }
-
-    val root: Grown = new Grown(bitset(_ => true))
+    val root: Grown = new Grown(all)
 
     /** The node whose examples are the set bits of `mask`, with its split
       * found on first use.
@@ -138,7 +113,7 @@ object DecisionTree {
             // a split with an empty side leaves the node a leaf; zero-gain splits
             // are kept, since deeper levels may still separate xor-like labels
             if (tSize == 0 || tSize == size) None
-            else Some((featIds(j), new Grown(t), new Grown(andNot(mask, featBits(j)))))
+            else Some((j, new Grown(t), new Grown(andNot(mask, featBits(j)))))
           }
 
       /** Examples the majority children of a split on `feat` misclassify. */

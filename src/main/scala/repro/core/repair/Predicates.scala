@@ -2,6 +2,7 @@ package repro.core.repair
 
 import repro.core.{Column, Strings, Table}
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Boolean row features from the Table-2 predicate templates (§3.4).
@@ -10,7 +11,9 @@ import scala.collection.mutable
   * obtained by splitting on non-alphanumeric characters, case changes and
   * alpha/digit switches; `length` uses the top-5 most frequent cell lengths.
   * Features that are constant across the table (all-true or all-false) are
-  * dropped as uninformative.
+  * dropped as uninformative, and so is each feature whose rows equal those
+  * of an earlier feature of the table: a tree splitting on the lowest index
+  * among equal errors never picks the copy.
   *
   * A column's features are built in one pass over its distinct values: each
   * template is evaluated once per distinct value, its row count is the sum
@@ -80,11 +83,12 @@ object Predicates {
 
   private val MaxConstantsPerColumn = 40
 
-  /** Generate all features over every column of `table`. */
+  /** Generate all features over every column of `table`, each row set once. */
   def featuresOf(table: Table): Vector[Feature] = {
     val out = Vector.newBuilder[Feature]
     table.cols.foreach(columnFeatures(_, out))
-    out.result()
+    val seen = mutable.HashSet.empty[ArraySeq[Long]]
+    out.result().filter(f => seen.add(ArraySeq.unsafeWrapArray(f.bits)))
   }
 
   private def columnFeatures(col: Column, out: mutable.Growable[Feature]): Unit = {

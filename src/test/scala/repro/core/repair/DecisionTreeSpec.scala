@@ -94,15 +94,10 @@ class DecisionTreeSpec extends AnyFunSuite {
       Node(0, Node(1, Leaf("C"), Leaf("B")), Leaf("A")))
   }
 
-  test("a row repeated in the examples counts once per occurrence") {
+  test("examples that repeat a row are rejected") {
     val f = Vector(feat("a", false, true))
-    // 4 of 5 examples are row 0 with A: the leaf reaches 0.8
-    val ex = Vector((0, "A"), (0, "A"), (1, "B"), (0, "A"), (0, "A"))
-    assert(DecisionTree.learn(f, ex).get == DecisionTree.Leaf("A"))
-    // row 0 with two labels: no split separates them, at best 2 of 3 are right
-    val clash = Vector((0, "A"), (0, "B"), (1, "B"))
-    assert(DecisionTree.learn(f, clash).isEmpty)
-    assert(DecisionTree.learn(f, clash, alpha = 0.6).get == DecisionTree.Leaf("B"))
+    assertThrows[IllegalArgumentException](DecisionTree.learn(f, Vector((0, "A"), (1, "B"), (0, "A"))))
+    assertThrows[IllegalArgumentException](DecisionTree.learn(f, Vector((0, "A"), (0, "B"))))
   }
 
   test("features equal on the examples split on the lower index") {
@@ -162,6 +157,12 @@ class PredicatesSpec extends AnyFunSuite {
     val t  = Table.of("c" -> Seq("aa", "bb", "ccc"))
     val fs = Predicates.featuresOf(t)
     assert(fs.exists(_.name == "length(c,2)"))
+  }
+
+  test("a feature whose rows equal an earlier feature's is dropped") {
+    val names = Predicates.featuresOf(Table.of("c" -> Seq("12", "ab", "n/a"))).map(_.name)
+    assert(names.contains("equals(c,12)"))
+    assert(!names.contains("hasDigits(c)") && !names.contains("isNum(c)"))
   }
 
   test("hasDigits / isNum / isNA behave") {
