@@ -23,24 +23,22 @@ object Ranker {
   final case class Candidate(repaired: String, patternPretty: String,
                              coverage: Double, alnumEdits: Int, cost: Int)
 
-  /** A scored candidate (`editDist` is the concrete-space distance, kept for
-    * reporting; the score uses the masked-space `cost`).
-    */
+  /** A scored candidate. */
   final case class Scored(repaired: String, patternPretty: String, coverage: Double,
-                          editDist: Int, alnumEdits: Int, cost: Int, score: Double)
+                          alnumEdits: Int, cost: Int, score: Double)
 
-  /** Rank `candidates` for `original`, best first. `editDistanceOnly` is the
-    * Table-9 "edit distance ranking" ablation.
+  /** Rank `candidates` for `original`, best first; each candidate's `cost`
+    * is its edit distance from `original` in masked space. `editDistanceOnly`
+    * is the Table-9 "edit distance ranking" ablation.
     */
   def rank(original: String, candidates: Vector[Candidate], columnValues: Vector[String],
            w: Weights = default, editDistanceOnly: Boolean = false): Vector[Scored] = {
     val scored = candidates.map { c =>
-      val d = Strings.lev(original, c.repaired)
       def closest = if (columnValues.isEmpty) 0 else Strings.closestLev(c.repaired, columnValues)
       val score =
         if (editDistanceOnly) -c.cost.toDouble
         else -w.wEdit * c.cost - w.wAlnum * c.alnumEdits - w.wClosest * closest + w.wCov * c.coverage
-      Scored(c.repaired, c.patternPretty, c.coverage, d, c.alnumEdits, c.cost, score)
+      Scored(c.repaired, c.patternPretty, c.coverage, c.alnumEdits, c.cost, score)
     }
     // dedupe identical repairs, keep the best-scoring instance
     scored.groupBy(_.repaired).values.map(_.maxBy(_.score)).toVector

@@ -12,14 +12,13 @@ object RankerReference {
   def rank(original: String, candidates: Vector[Candidate], columnValues: Vector[String],
            w: Weights, editDistanceOnly: Boolean): Vector[Scored] = {
     val scored = candidates.map { c =>
-      val d = StringsReference.lev(original, c.repaired)
       val closest =
         if (columnValues.isEmpty) 0
         else columnValues.iterator.map(v => StringsReference.lev(c.repaired, v)).min
       val score =
         if (editDistanceOnly) -c.cost.toDouble
         else -w.wEdit * c.cost - w.wAlnum * c.alnumEdits - w.wClosest * closest + w.wCov * c.coverage
-      Scored(c.repaired, c.patternPretty, c.coverage, d, c.alnumEdits, c.cost, score)
+      Scored(c.repaired, c.patternPretty, c.coverage, c.alnumEdits, c.cost, score)
     }
     scored.groupBy(_.repaired).values.map(_.maxBy(_.score)).toVector
       .sortBy(s => (-s.score, s.repaired))

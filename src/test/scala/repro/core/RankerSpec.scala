@@ -50,11 +50,6 @@ class RankerSpec extends AnyFunSuite {
     assert(r.head.repaired == "a1")
   }
 
-  test("concrete edit distance is still reported") {
-    val r = rank("abc", Vector(Candidate("abd", "p", 1.0, 1, 1)), Vector.empty)
-    assert(r.head.editDist == 1)
-  }
-
   test("levenshtein basics") {
     assert(Strings.lev("", "") == 0)
     assert(Strings.lev("abc", "abc") == 0)
