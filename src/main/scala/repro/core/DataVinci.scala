@@ -82,7 +82,7 @@ object DataVinci {
     // such values mask *into* the language and need the semantic signal)
     val rows = m.values.indices
     val errors = m.misses(rows) ++
-      rows.filter(r => m.mvs(r).occs.exists(o => o.fuzzy && o.suggestion != o.original))
+      m.dict.filterRows(rows)(r => m.mvs(r).occs.exists(o => o.fuzzy && o.suggestion != o.original))
     ColumnResult(m.colIdx, sig, errors, m.repairs(errors))
   }
 }

@@ -18,6 +18,7 @@ import repro.semantics.{MaskedValue, SemanticMasker}
 private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows: Seq[Int],
                                        cfg: Config, feats: => Vector[Predicates.Feature]) {
   val values: Vector[String] = table.col(colIdx).values
+  val dict: Distinct = table.col(colIdx).distinct
   val mvs: Vector[MaskedValue] = {
     val raw = if (cfg.semantic) SemanticMasker.maskColumn(values) else values.map(MaskedValue(_, Vector.empty))
     if (cfg.limitedSemanticConcretization)
@@ -31,7 +32,7 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
 
   /** Rows of `rows` whose value misses every significant pattern. */
   def misses(rows: Iterable[Int]): Set[Int] =
-    rows.iterator.filter(r => !significant.exists(_._1.matches(masked(r)))).toSet
+    Distinct(masked).filterRows(rows)(r => !significant.exists(_._1.matches(masked(r)))).toSet
 
   private lazy val concretizers: Vector[(Pattern, Double, Concretizer)] = {
     lazy val fs = feats
@@ -43,7 +44,8 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
     * values of the training rows that are not errors.
     */
   def repairs(errors: Set[Int]): Map[Int, CellRepair] = {
-    lazy val nonErrorValues = trainRows.filterNot(errors).map(values).toVector.distinct
+    lazy val nonErrorValues =
+      trainRows.iterator.filterNot(errors).map(dict.ids(_)).distinct.map(dict.values).toVector
     errors.iterator.map(r => r -> repair(r, nonErrorValues)).toMap
   }
 

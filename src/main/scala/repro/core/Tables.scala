@@ -1,8 +1,44 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** A named string column. */
 final case class Column(name: String, values: Vector[String]) {
   def size: Int = values.length
+
+  /** The column's dictionary, built on first use. */
+  lazy val distinct: Distinct = Distinct(values)
+}
+
+/** A sequence of strings as a dictionary: its distinct values in first-seen
+  * order, each row's id into them, and each id's row count. It is the only
+  * code that maps rows to distinct values; work that depends only on a value
+  * runs once per id and reaches the rows through `ids`.
+  */
+final class Distinct private (val values: Vector[String], val ids: Array[Int], val counts: Array[Int]) {
+
+  /** The number of rows whose id satisfies `p`. */
+  def countRows(p: Int => Boolean): Int = counts.indices.iterator.filter(p).map(counts(_)).sum
+
+  /** The rows of `rows` for which `p` holds, in order. `p` must depend only
+    * on the row's value: it runs at the first row of each id in `rows`, and
+    * its answer stands for the id's other rows.
+    */
+  def filterRows(rows: Iterable[Int])(p: Int => Boolean): Iterator[Int] = {
+    val known = mutable.HashMap.empty[Int, Boolean]
+    rows.iterator.filter(r => known.getOrElseUpdate(ids(r), p(r)))
+  }
+}
+
+object Distinct {
+  def apply(xs: Seq[String]): Distinct = {
+    val idOf   = mutable.HashMap.empty[String, Int]
+    val ds     = mutable.ArrayBuffer.empty[String]
+    val ids    = xs.iterator.map(x => idOf.getOrElseUpdate(x, { ds += x; ds.size - 1 })).toArray
+    val counts = new Array[Int](ds.size)
+    ids.foreach(counts(_) += 1)
+    new Distinct(ds.toVector, ids, counts)
+  }
 }
 
 /** The in-memory table the core algorithms operate on. Spark DataFrames are

@@ -1,6 +1,6 @@
 package repro.core.pattern
 
-import scala.collection.mutable
+import repro.core.Distinct
 import Tokenizer._
 
 /** FlashProfile-lite (§3.1): learns regex patterns that jointly cover all
@@ -9,7 +9,8 @@ import Tokenizer._
   * subset — patterns individually covering at least a fraction δ of the
   * values.
   *
-  * Algorithm, over the column's distinct values with their row counts:
+  * Algorithm, over the column's dictionary (distinct values with their row
+  * counts):
   *   1. cluster values by run signature (digit/alpha-shape/space/mask/punct);
   *   2. per cluster, refine each run position to the most specific token that
   *      covers the cluster: literal, small disjunction, or fixed-length /
@@ -32,16 +33,11 @@ object PatternLearner {
 
   /** Learn patterns over `values` (multiplicities count toward coverage). */
   def learn(values: Seq[String], k: Int = 8): LearnedPatterns = {
-    val vs = values.toVector
-    if (vs.isEmpty) return LearnedPatterns(Vector.empty)
+    if (values.isEmpty) return LearnedPatterns(Vector.empty)
+    val dict = Distinct(values)
+    def coverage(p: Pattern): Double = dict.countRows(d => p.matches(dict.values(d))).toDouble / dict.ids.length
 
-    // each distinct value's row count, in first-seen order
-    val rows = mutable.LinkedHashMap.empty[String, Int]
-    vs.foreach(v => rows(v) = rows.getOrElse(v, 0) + 1)
-    def coverage(p: Pattern): Double =
-      rows.iterator.collect { case (v, n) if p.matches(v) => n }.sum.toDouble / vs.size
-
-    val clusters = rows.keys.toVector.map(runs).groupBy(_.map(sigOf)).values.toVector
+    val clusters = dict.values.map(runs).groupBy(_.map(sigOf)).values.toVector
     val patterns = mergeRepetitions(clusters.map(clusterPattern)).map(p => p -> coverage(p))
     LearnedPatterns(capPatterns(patterns, k, coverage).sortBy { case (p, c) => (-c, p.pretty) })
   }

@@ -1,6 +1,6 @@
 package repro.core.repair
 
-import repro.core.Table
+import repro.core.{Distinct, Table}
 import repro.core.pattern.{Masks, Pattern}
 import repro.core.repair.Predicates.Feature
 import scala.collection.mutable
@@ -27,14 +27,20 @@ final class Concretizer(
     alpha: Double,
 ) {
 
-  /** Rows whose (masked) value is in the pattern's language. */
-  val matchingRows: Vector[Int] =
-    maskedValues.indices.toVector.filter(r => pattern.matches(maskedValues(r)))
-
   private val dags = mutable.Map.empty[Int, Dag]
 
   /** The pattern's DAG for values of length `len`, built once per length. */
   private def dag(len: Int): Dag = dags.getOrElseUpdate(len, Dag.build(pattern, len))
+
+  private val dict = Distinct(maskedValues)
+
+  /** Each distinct masked value's captures, if it is in the pattern's language. */
+  private val captures: Vector[Option[EditDp.Captures]] =
+    dict.values.map(v => if (pattern.matches(v)) EditDp.captures(dag(v.length), v) else None)
+
+  /** Rows whose (masked) value is in the pattern's language. */
+  val matchingRows: Vector[Int] =
+    maskedValues.indices.toVector.filter(r => captures(dict.ids(r)).nonEmpty)
 
   /** The entity suggestion of the mask at position `pos` of `row`'s masked
     * value, by the mask's occurrence index.
@@ -51,16 +57,13 @@ final class Concretizer(
     * are computed once per distinct matching value; every value in the
     * pattern's language aligns on its DAG, the empty pattern's "" included.
     */
-  private val bySlot: Map[SlotKey, Vector[(Int, String)]] = {
-    val captured = mutable.HashMap.empty[String, EditDp.Captures]
+  private val bySlot: Map[SlotKey, Vector[(Int, String)]] =
     matchingRows.flatMap { r =>
-      val v = maskedValues(r)
-      val c = captured.getOrElseUpdate(v, EditDp.captures(dag(v.length), v).get)
+      val c = captures(dict.ids(r)).get
       c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++
         c.disjChoice.map { case (slot, alt) => (slot, r, alt) } ++
         c.maskAt.flatMap { case (slot, pos) => suggestionAt(r, pos).map(sug => (slot, r, sug)) }
     }.groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
-  }
 
   /** The same examples per token; token ids are unique, so kinds never mix. */
   private lazy val byTok: Map[Int, Vector[(Int, String)]] =

@@ -15,10 +15,9 @@ import scala.collection.mutable
   * of an earlier feature of the table: a tree splitting on the lowest index
   * among equal errors never picks the copy.
   *
-  * A column's features are built in one pass over its distinct values: each
-  * template is evaluated once per distinct value, its row count is the sum
-  * of those values' counts, and a kept feature's bits are set through each
-  * row's distinct id.
+  * A column's features are built over the column's dictionary: each template
+  * is evaluated once per distinct value, its row count is the sum of those
+  * values' counts, and a kept feature's bits are set through each row's id.
   */
 object Predicates {
 
@@ -92,35 +91,28 @@ object Predicates {
   }
 
   private def columnFeatures(col: Column, out: mutable.Growable[Feature]): Unit = {
-    val vs = col.values
-    val n  = vs.length
-
-    // each row's distinct id; distinct values in first-seen order, with counts
-    val idOf   = mutable.HashMap.empty[String, Int]
-    val ids    = new Array[Int](n)
-    val ds     = mutable.ArrayBuffer.empty[String]
-    for (r <- 0 until n) ids(r) = idOf.getOrElseUpdate(vs(r), { ds += vs(r); ds.size - 1 })
-    val m      = ds.size
-    val counts = new Array[Int](m)
-    ids.foreach(counts(_) += 1)
+    val n    = col.size
+    val dict = col.distinct
+    val ds   = dict.values
+    val m    = ds.size
 
     /** Adds the feature `p` of a distinct id, unless it is constant over the rows. */
     def add(name: String, p: Int => Boolean): Unit = {
       val hit  = new Array[Boolean](m)
       var rows = 0
       var d    = 0
-      while (d < m) { if (p(d)) { hit(d) = true; rows += counts(d) }; d += 1 }
+      while (d < m) { if (p(d)) { hit(d) = true; rows += dict.counts(d) }; d += 1 }
       if (rows > 0 && rows < n) {
         val bits = new Array[Long]((n + 63) >>> 6)
         var r = 0
-        while (r < n) { if (hit(ids(r))) bits(r >>> 6) |= 1L << r; r += 1 }
+        while (r < n) { if (hit(dict.ids(r))) bits(r >>> 6) |= 1L << r; r += 1 }
         out += new Feature(name, n, bits)
       }
     }
 
     // candidate constants: full values + split tokens, by row frequency
     val freq = mutable.HashMap.empty[String, Int]
-    for (d <- 0 until m; s <- ds(d) +: tokensOf(ds(d))) freq(s) = freq.getOrElse(s, 0) + counts(d)
+    for (d <- 0 until m; s <- ds(d) +: tokensOf(ds(d))) freq(s) = freq.getOrElse(s, 0) + dict.counts(d)
     val consts = freq.toVector.sortBy { case (s, c) => (-c, s) }.take(MaxConstantsPerColumn).map(_._1)
 
     for (s <- consts) {
@@ -129,7 +121,7 @@ object Predicates {
       add(s"startsWith(${col.name},$s)", ds(_).startsWith(s))
       add(s"endsWith(${col.name},$s)",   ds(_).endsWith(s))
     }
-    val topLens = (0 until m).groupMapReduce(ds(_).length)(counts(_))(_ + _)
+    val topLens = (0 until m).groupMapReduce(ds(_).length)(dict.counts(_))(_ + _)
       .toVector.sortBy { case (l, c) => (-c, l) }.take(5).map(_._1)
     for (l <- topLens) add(s"length(${col.name},$l)", ds(_).length == l)
 

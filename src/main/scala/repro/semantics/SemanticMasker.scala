@@ -1,5 +1,6 @@
 package repro.semantics
 
+import repro.core.Distinct
 import repro.core.pattern.Masks
 
 /** One masked occurrence inside a value: the surface that was replaced, and
@@ -105,46 +106,43 @@ object SemanticMasker {
     case _       => s // dictionary surfaces are already title-cased
   }
 
-  /** Mask a whole column; deterministic in the input. */
+  /** Mask a whole column; deterministic in the input. Each distinct value
+    * is masked once; type election and the style vote count rows.
+    */
   def maskColumn(values: Vector[String]): Vector[MaskedValue] = {
     if (values.isEmpty) return Vector.empty
-    val gramsOf = values.map(grams)
+    val dict    = Distinct(values)
+    val gramsOf = dict.values.map(grams)
     val exact   = gramsOf.map(exactHits)
 
-    // type election over the column
+    // type election over the column's rows
     val nonEmpty = math.max(1, values.count(_.nonEmpty))
     val elected: Set[String] = exact.flatMap(_.map(_.entity.semType)).distinct.filter { t =>
-      val support = exact.count(_.exists(_.entity.semType == t))
+      val support = dict.countRows(d => exact(d).exists(_.entity.semType == t))
       support >= 2 && support.toDouble / nonEmpty >= TypeElectionThreshold
     }.toSet
     if (elected.isEmpty) return values.map(v => MaskedValue(v, Vector.empty))
 
-    // dominant rendering per type: (form, case shape) majority over exact hits
+    // dominant rendering per type: (form, case shape) majority over the rows' exact hits
     val style: Map[String, (String, String)] = elected.iterator.map { t =>
-      val hs = exact.flatten.filter(_.entity.semType == t)
-      val (form, shape) = hs.map(h => (h.formName, caseShape(h.surface)))
-        .groupBy(identity).view.mapValues(_.size).toVector
+      val votes = for (d <- exact.indices; h <- exact(d) if h.entity.semType == t)
+        yield (h.formName, caseShape(h.surface)) -> dict.counts(d)
+      t -> votes.groupMapReduce(_._1)(_._2)(_ + _).toVector
         .sortBy { case (k, c) => (-c, k.toString) }.head._1
-      t -> (form, shape)
     }.toMap
 
-    values.zipWithIndex.map { case (v, i) =>
+    val maskedOf = dict.values.indices.map { i =>
+      val v = dict.values(i)
       // keep elected-type exact hits; add visual-typo and fuzzy hits
       val kept = exact(i).filter(h => elected.contains(h.entity.semType))
       val visual = visualHits(v, elected).filterNot(h =>
         kept.exists(k => h.start < k.end && k.start < h.end))
+      // a free gram's closest fuzzy hit over the elected types, the first on ties
       val fuzzy = gramsOf(i).flatMap { g =>
         val overlaps = (kept ++ visual).exists(h => g.start < h.end && h.start < g.end)
         if (overlaps) None
-        else {
-          val hs = elected.iterator.flatMap { t =>
-            SemanticKB.fuzzy(g.surface, t).map { case (en, fn, d) =>
-              Hit(g.start, g.end, g.surface, en, fn, d)
-            }
-          }.toVector
-          if (hs.isEmpty) None
-          else Some(hs.minBy(h => (h.dist, -(h.end - h.start))))
-        }
+        else elected.iterator.flatMap(t => SemanticKB.fuzzy(g.surface, t)).minByOption(_._3)
+          .map { case (en, fn, d) => Hit(g.start, g.end, g.surface, en, fn, d) }
       } ++ visual
       // choose non-overlapping hits: exact before fuzzy, longer before shorter
       val chosen = (kept ++ fuzzy)
@@ -171,5 +169,6 @@ object SemanticMasker {
         MaskedValue(sb.toString, occs.result())
       }
     }
+    dict.ids.iterator.map(maskedOf).toVector
   }
 }
