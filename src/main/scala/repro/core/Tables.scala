@@ -103,27 +103,32 @@ object Strings {
     * of Hyyrö (Nordic J. Computing 2003): column j of the DP between the
     * pattern and a text is held as vertical +1/−1 delta bits, one bit per
     * pattern char, and advanced a whole column per text char. Bit i of
-    * `eq(c)` is set when `p(i) == c`; ASCII chars index a table, others a
-    * short scan list of `p`'s distinct non-ASCII chars.
+    * `eq(c)` is set when `p(i) == c`; ASCII chars index a table over the
+    * range `lo..hi` of `p`'s ASCII codes, others a short scan list of `p`'s
+    * distinct non-ASCII chars.
     */
   private final class BitLev(p: String) {
     require(p.length <= 64)
-    private val ascii = new Array[Long](128)
+    private val lo = p.foldLeft(128)((m, c) => if (c < 128) math.min(m, c) else m)
+    private val ascii = new Array[Long](p.foldLeft(0)((n, c) => if (c < 128) math.max(n, c - lo + 1) else n))
     private val others: Array[Char] =
       if (p.forall(_ < 128)) Array.emptyCharArray else p.filter(_ >= 128).distinct.toCharArray
     private val otherMasks = new Array[Long](others.length)
     for (i <- p.indices) {
       val c = p(i)
-      if (c < 128) ascii(c) |= 1L << i else otherMasks(others.indexOf(c)) |= 1L << i
+      if (c < 128) ascii(c - lo) |= 1L << i else otherMasks(others.indexOf(c)) |= 1L << i
     }
 
-    private def eq(c: Char): Long =
-      if (c < 128) ascii(c)
+    private def eq(c: Char): Long = {
+      val i = c - lo
+      if (i >= 0 && i < ascii.length) ascii(i)
+      else if (c < 128) 0L
       else {
         var k = 0
         while (k < others.length && others(k) != c) k += 1
         if (k < others.length) otherMasks(k) else 0L
       }
+    }
 
     /** `lev(p, t)`. */
     def distance(t: String): Int = {
