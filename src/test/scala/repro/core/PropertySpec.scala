@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.pattern._
 import repro.core.repair.{Dag, EditDp}
@@ -128,6 +129,33 @@ class PropertySpec extends AnyFunSuite {
     checkProp(Prop.forAll(s) { v =>
       Strings.isNumeric(v) == scala.util.Try(v.replace(",", "").toDouble).isSuccess
     }, n = 5000)
+  }
+
+  /** A generated Wikipedia or Synthetic table under the default config or
+    * one of the four Table-9 ablations.
+    */
+  private val cleaned: Gen[(String, Table, DataVinci.Config)] = for {
+    table <- Gen.oneOf(
+      Gen.chooseNum(0L, 599L).map(id => s"wikipedia $id" -> repro.benchgen.BenchGen.wikipedia(id).dirtyTable),
+      Gen.chooseNum(0L, 119L).map(id => s"synthetic $id" -> repro.benchgen.BenchGen.synthetic(id).dirtyTable))
+    cfg <- Gen.oneOf(DataVinci.Config(), DataVinci.Config(semantic = false),
+      DataVinci.Config(limitedSemanticConcretization = true), DataVinci.Config(learnedConcretization = false),
+      DataVinci.Config(editDistanceRanking = true))
+  } yield (table._1, table._2, cfg)
+
+  test("no suggestion or top-5 candidate of cleanTable holds a mask code point") {
+    checkProp(Prop.forAll(cleaned) { case (name, table, cfg) =>
+      val out = for ((c, res) <- DataVinci.cleanTable(table, cfg); cell <- res.repairs.values;
+                     s <- cell.suggestion.toVector ++ cell.candidates.map(_.repaired)) yield (c, cell.row, s)
+      val masked = out.filter(_._3.exists(Masks.isMask))
+      masked.isEmpty :| s"$name $cfg: $masked"
+    }, n = 100)
+  }
+
+  test("two cleanTable calls return equal results") {
+    checkProp(Prop.forAll(cleaned) { case (name, table, cfg) =>
+      (DataVinci.cleanTable(table, cfg) == DataVinci.cleanTable(table, cfg)) :| s"$name $cfg"
+    }, n = 100)
   }
 
   test("corruption never silently returns the same value") {
