@@ -9,7 +9,7 @@ import Tokenizer._
   * subset — patterns individually covering at least a fraction δ of the
   * values.
   *
-  * Algorithm, over the column's dictionary (distinct values with their row
+  * Algorithm, over the input's dictionary (distinct values with their row
   * counts):
   *   1. cluster values by run signature (digit/alpha-shape/space/mask/punct);
   *   2. per cluster, refine each run position to the most specific token that
@@ -35,7 +35,8 @@ object PatternLearner {
   def learn(values: Seq[String], k: Int = 8): LearnedPatterns = {
     if (values.isEmpty) return LearnedPatterns(Vector.empty)
     val dict = Distinct(values)
-    def coverage(p: Pattern): Double = dict.countRows(d => p.matches(dict.values(d))).toDouble / dict.ids.length
+    def coverage(p: Pattern): Double =
+      dict.countRows(d => p.matches(dict.values(d))).toDouble / dict.ids.length
 
     val clusters = dict.values.map(runs).groupBy(_.map(sigOf)).values.toVector
     val patterns = mergeRepetitions(clusters.map(clusterPattern)).map(p => p -> coverage(p))
