@@ -11,9 +11,9 @@ final case class Column(name: String, values: Vector[String]) {
 }
 
 /** A sequence of strings as a dictionary: its distinct values in first-seen
-  * order, each row's id into them, and each id's row count. It is the only
-  * code that maps rows to distinct values; work that depends only on a value
-  * runs once per id and reaches the rows through `ids`.
+  * order, each row's id into them, and each id's row count. It is the
+  * pipeline's only code that maps rows to distinct values; work that depends
+  * only on a value runs once per id and reaches the rows through `ids`.
   */
 final class Distinct private (val values: Vector[String], val ids: Array[Int], val counts: Array[Int]) {
 
