@@ -66,7 +66,7 @@ object DataVinci {
     cleanColumns(table, table.cols.indices, cfg)
 
   /** Clean the given columns of `table`; their predicate features are built
-    * once, when the first repair needs them.
+    * once, when a concretizer's slot tree first searches a split.
     */
   private[core] def cleanColumns(table: Table, cols: Seq[Int], cfg: Config): Map[Int, ColumnResult] = {
     lazy val feats = Predicates.featuresOf(table)

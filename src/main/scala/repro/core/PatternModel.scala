@@ -13,7 +13,9 @@ import repro.semantics.{MaskedValue, SemanticMasker}
   * (§3.6), and `DataVinciSpark.learnColumnModel` reads the patterns and masks
   * back out as regexes. Callers decide which rows are errors.
   *
-  * `feats` is evaluated at most once, and only when a repair is requested.
+  * `feats` is evaluated at most once, and only when a concretizer's slot
+  * tree searches a split; a concretizer's examples are built at its first
+  * label.
   */
 private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows: Seq[Int],
                                        cfg: Config, feats: => Vector[Predicates.Feature]) {
@@ -34,8 +36,9 @@ private[core] final class PatternModel(table: Table, val colIdx: Int, trainRows:
   def misses(rows: Iterable[Int]): Set[Int] =
     Distinct(masked).filterRows(rows)(r => !significant.exists(_._1.matches(masked(r)))).toSet
 
+  private lazy val fs = feats
+
   private lazy val concretizers: Vector[(Pattern, Double, Concretizer)] = {
-    lazy val fs = feats
     val suggestions = mvs.map(_.occs.map(_.suggestion))
     significant.map { case (p, cov) => (p, cov, new Concretizer(table, fs, p, masked, suggestions, cfg.alpha)) }
   }

@@ -78,7 +78,7 @@ object Strings {
     */
   def lev(a: String, b: String): Int =
     if (a.length > b.length) lev(b, a)
-    else if (a.length <= 64) new BitLev(a).distance(b)
+    else if (a.length <= 64) BitLev(a).distance(b)
     else levDp(a, b)
 
   /** `min(lev(p, v))` over the non-empty `values`. It builds `p`'s bitmasks
@@ -88,7 +88,7 @@ object Strings {
     */
   def closestLev(p: String, values: Iterable[String]): Int = {
     require(values.nonEmpty, "closestLev over no values")
-    val kernel = if (p.length <= 64) new BitLev(p) else null
+    val kernel = if (p.length <= 64) BitLev(p) else null
     var best = Int.MaxValue
     val it = values.iterator
     while (best > 0 && it.hasNext) {
@@ -107,16 +107,22 @@ object Strings {
     * range `lo..hi` of `p`'s ASCII codes, others a short scan list of `p`'s
     * distinct non-ASCII chars.
     */
-  private final class BitLev(p: String) {
-    require(p.length <= 64)
-    private val lo = p.foldLeft(128)((m, c) => if (c < 128) math.min(m, c) else m)
-    private val ascii = new Array[Long](p.foldLeft(0)((n, c) => if (c < 128) math.max(n, c - lo + 1) else n))
-    private val others: Array[Char] =
-      if (p.forall(_ < 128)) Array.emptyCharArray else p.filter(_ >= 128).distinct.toCharArray
+  private final class BitLev private (p: String, lo: Int, ascii: Array[Long], others: Array[Char]) {
     private val otherMasks = new Array[Long](others.length)
-    for (i <- p.indices) {
-      val c = p(i)
-      if (c < 128) ascii(c - lo) |= 1L << i else otherMasks(others.indexOf(c)) |= 1L << i
+    locally {
+      var i = 0
+      while (i < p.length) {
+        val c = p.charAt(i)
+        if (c < 128) ascii(c - lo) |= 1L << i else otherMasks(indexOfOther(c)) |= 1L << i
+        i += 1
+      }
+    }
+
+    /** The index of `c` in `others`, or `others.length`. */
+    private def indexOfOther(c: Char): Int = {
+      var k = 0
+      while (k < others.length && others(k) != c) k += 1
+      k
     }
 
     private def eq(c: Char): Long = {
@@ -124,8 +130,7 @@ object Strings {
       if (i >= 0 && i < ascii.length) ascii(i)
       else if (c < 128) 0L
       else {
-        var k = 0
-        while (k < others.length && others(k) != c) k += 1
+        val k = indexOfOther(c)
         if (k < others.length) otherMasks(k) else 0L
       }
     }
@@ -153,6 +158,34 @@ object Strings {
         j += 1
       }
       dist
+    }
+  }
+
+  private object BitLev {
+    /** The kernel of `p`: one pass over its chars finds the lowest and
+      * highest ASCII code, which size the table, and its distinct non-ASCII
+      * chars in first-seen order.
+      */
+    def apply(p: String): BitLev = {
+      require(p.length <= 64)
+      var lo = 128
+      var hi = -1
+      var others = Array.emptyCharArray // sized at the first non-ASCII char
+      var n = 0
+      var i = 0
+      while (i < p.length) {
+        val c = p.charAt(i)
+        if (c < 128) { if (c < lo) lo = c; if (c > hi) hi = c }
+        else {
+          if (n == 0) others = new Array[Char](p.length - i)
+          var k = 0
+          while (k < n && others(k) != c) k += 1
+          if (k == n) { others(n) = c; n += 1 }
+        }
+        i += 1
+      }
+      if (n < others.length) others = java.util.Arrays.copyOf(others, n)
+      new BitLev(p, lo, new Array[Long](math.max(0, hi - lo + 1)), others)
     }
   }
 

@@ -17,10 +17,17 @@ import scala.collection.mutable
   * at the token, when no tree reaches the accuracy threshold α. A flagged
   * row's minimal edit programs come from the edit DP over the pattern's DAG
   * for the value's length, and their abstract units are resolved here.
+  *
+  * Training state is built on demand (§3.4 learns a constraint only for a
+  * slot an edit program emits): the captures, `matchingRows` and the slot
+  * examples at the first label a unit asks for, and the predicate features
+  * (`features`, by name) only when a slot's tree searches a split. A repair
+  * that only copies literals, deletes, folds the input character or carries
+  * a mask over aligns no value and reads no feature.
   */
 final class Concretizer(
     table: Table,
-    feats: Vector[Feature],
+    features: => Vector[Feature],
     pattern: Pattern,
     maskedValues: Vector[String],
     maskSuggestions: Vector[Vector[String]],
@@ -32,14 +39,16 @@ final class Concretizer(
   /** The pattern's DAG for values of length `len`, built once per length. */
   private def dag(len: Int): Dag = dags.getOrElseUpdate(len, Dag.build(pattern, len))
 
-  private val dict = Distinct(maskedValues)
+  private lazy val feats: Vector[Feature] = features
+
+  private lazy val dict = Distinct(maskedValues)
 
   /** Each distinct masked value's captures, if it is in the pattern's language. */
-  private val captures: Vector[Option[EditDp.Captures]] =
+  private lazy val captures: Vector[Option[EditDp.Captures]] =
     dict.values.map(v => if (pattern.matches(v)) EditDp.captures(dag(v.length), v) else None)
 
   /** Rows whose (masked) value is in the pattern's language. */
-  val matchingRows: Vector[Int] =
+  lazy val matchingRows: Vector[Int] =
     maskedValues.indices.toVector.filter(r => captures(dict.ids(r)).nonEmpty)
 
   /** The entity suggestion of the mask at position `pos` of `row`'s masked
@@ -57,7 +66,7 @@ final class Concretizer(
     * are computed once per distinct matching value; every value in the
     * pattern's language aligns on its DAG, the empty pattern's "" included.
     */
-  private val bySlot: Map[SlotKey, Vector[(Int, String)]] =
+  private lazy val bySlot: Map[SlotKey, Vector[(Int, String)]] =
     matchingRows.flatMap { r =>
       val c = captures(dict.ids(r)).get
       c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++

@@ -23,21 +23,25 @@ import repro.core.repair.Predicates.Feature
   * most frequent label (ties by label), and a truncated tree's training
   * accuracy is the sum of its leaves' most frequent label counts over the
   * number of examples.
+  *
+  * Features are taken by name and read only when a node's labels are mixed
+  * and its split is searched: a majority leaf that meets α never evaluates
+  * them, and neither does `Leaf.predict`.
   */
 object DecisionTree {
 
   sealed trait DTree {
-    def predict(row: Int, feats: Vector[Feature]): String
+    def predict(row: Int, feats: => Vector[Feature]): String
     def nodes: Int
     def depth: Int
   }
   final case class Leaf(label: String) extends DTree {
-    def predict(row: Int, feats: Vector[Feature]): String = label
+    def predict(row: Int, feats: => Vector[Feature]): String = label
     def nodes: Int = 1
     def depth: Int = 0
   }
   final case class Node(feat: Int, t: DTree, f: DTree) extends DTree {
-    def predict(row: Int, feats: Vector[Feature]): String =
+    def predict(row: Int, feats: => Vector[Feature]): String =
       if (feats(feat)(row)) t.predict(row, feats) else f.predict(row, feats)
     def nodes: Int = 1 + t.nodes + f.nodes
     def depth: Int = 1 + math.max(t.depth, f.depth)
@@ -50,7 +54,7 @@ object DecisionTree {
   /** Learn a tree over `examples` (rowIdx → label, each row at most once)
     * with accuracy ≥ `alpha`; `None` when no tree up to depth 3 qualifies.
     */
-  def learn(feats: Vector[Feature], examples: Vector[(Int, String)],
+  def learn(feats: => Vector[Feature], examples: Vector[(Int, String)],
             alpha: Double = DefaultAlpha): Option[DTree] =
     if (examples.isEmpty) None
     else {
@@ -70,15 +74,23 @@ object DecisionTree {
     c
   }
 
+  private def popcountAnd(a: Array[Long], b: Array[Long]): Int = {
+    var c = 0
+    var w = 0
+    while (w < a.length) { c += java.lang.Long.bitCount(a(w) & b(w)); w += 1 }
+    c
+  }
+
   private def and(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & b(w))
 
   private def andNot(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & ~b(w))
 
   /** Row bitsets of non-empty `examples`. */
-  private final class Kernel(feats: Vector[Feature], examples: Vector[(Int, String)]) {
-    private val words    = (examples.iterator.map(_._1).max >>> 6) + 1
-    private val labels   = examples.map(_._2).distinct.sorted.toArray
-    private val featBits = feats.iterator.map(_.bits).toArray
+  private final class Kernel(feats: => Vector[Feature], examples: Vector[(Int, String)]) {
+    private val words  = (examples.iterator.map(_._1).max >>> 6) + 1
+    private val labels = examples.map(_._2).distinct.sorted.toArray
+    /** Read at the first split search. */
+    private lazy val featBits = feats.iterator.map(_.bits).toArray
 
     /** The rows of each label, and of all examples. */
     private val (labelBits, all): (Array[Array[Long]], Array[Long]) = {
@@ -100,8 +112,18 @@ object DecisionTree {
       */
     final class Grown(mask: Array[Long]) {
       private val size   = popcount(mask)
-      private val counts = labelBits.map(l => popcount(and(mask, l)))
-      private val major  = counts.indices.maxBy(counts) // first maximum: ties by label
+      private val counts = {
+        val c = new Array[Int](labelBits.length)
+        var l = 0
+        while (l < c.length) { c(l) = popcountAnd(mask, labelBits(l)); l += 1 }
+        c
+      }
+      private val major = { // the first maximum: ties by label
+        var m = 0
+        var l = 1
+        while (l < counts.length) { if (counts(l) > counts(m)) m = l; l += 1 }
+        m
+      }
 
       private lazy val split: Option[(Int, Grown, Grown)] =
         if (counts(major) == size) None

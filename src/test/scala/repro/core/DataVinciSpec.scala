@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.repair.Predicates
 
 /** End-to-end pipeline tests, anchored on the paper's worked examples. */
 class DataVinciSpec extends AnyFunSuite {
@@ -143,6 +144,34 @@ class DataVinciSpec extends AnyFunSuite {
     assert(res.keySet == Set(0, 1))
     assert(res(0).errors == Set(4))
     assert(res(1).errors.isEmpty)
+  }
+
+  /** `cleanModel` on all rows of `col`, with a feature thunk that counts its
+    * evaluations.
+    */
+  private def featureReads(table: Table, col: Int): (DataVinci.ColumnResult, Int) = {
+    var reads = 0
+    val m = new PatternModel(table, col, 0 until table.numRows, DataVinci.Config(),
+      { reads += 1; Predicates.featuresOf(table) })
+    (DataVinci.cleanModel(m), reads)
+  }
+
+  test("a repair by a literal insertion never builds the predicate features") {
+    val (res, reads) = featureReads(Table.of("s" -> Seq("S.1.2", "S.2.3", "S1.4", "S.1.3", "S.2.1")), 0)
+    assert(res.suggestionFor(2).contains("S.1.4"))
+    assert(reads == 0)
+  }
+
+  test("a repair whose slot tree searches a split builds the predicate features once") {
+    val table = Table.of(
+      "Category" -> Seq("Junior", "Professional", "Junior", "Professional", "Junior",
+                        "Qualifier", "Qualifier", "Professional"),
+      "PlayerID" -> Seq("IND-674-CAT", "US-837-PRO", "UK-231-CAT", "usa_837", "IN-554-CAT",
+                        "QUAL-21", "QUAL-28", "FR-912-PRO"),
+    )
+    val (res, reads) = featureReads(table, 1)
+    assert(res.suggestionFor(3).contains("US-837-PRO")) // PRO, not CAT, by Category
+    assert(reads == 1)
   }
 
   test("column result accessors") {

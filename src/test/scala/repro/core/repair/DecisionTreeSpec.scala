@@ -55,6 +55,18 @@ class DecisionTreeSpec extends AnyFunSuite {
     assert(DecisionTree.learn(f, ex).isEmpty)
   }
 
+  test("features are read only when a split is searched") {
+    def unread: Vector[Feature] = throw new AssertionError("features read")
+    val ex = Vector((0, "X"), (1, "Y"), (2, "X"), (3, "X"), (4, "X"))
+    val t  = DecisionTree.learn(unread, ex).get
+    assert(t == DecisionTree.Leaf("X")) // 4/5 = 0.8 ≥ α
+    assert(t.predict(1, unread) == "X")
+    var reads = 0
+    val f = Vector(feat("a", true, false, true, true, true))
+    assert(DecisionTree.learn({ reads += 1; f }, ex, alpha = 1.0).get.depth == 1)
+    assert(reads == 1)
+  }
+
   test("empty examples return None") {
     assert(DecisionTree.learn(Vector(feat("a", true)), Vector.empty).isEmpty)
   }
