@@ -14,8 +14,11 @@ import repro.core.{Strings, Table}
   * "hallucinated rewrite" failure mode that drags its repair precision
   * down). Deterministic in the input.
   */
-final class T5Sim(fireQuantile: Double = 0.25) extends CleaningSystem {
+final class T5Sim extends CleaningSystem {
   def name = "T5"
+
+  /** Share of each column, worst likelihood first, that may fire. */
+  private val fireQuantile = 0.25
 
   def clean(table: Table): Map[Int, ColumnOutcome] =
     table.cols.indices.map { c =>

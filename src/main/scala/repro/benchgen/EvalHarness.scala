@@ -28,6 +28,8 @@ object Systems {
     case "LimitedConc"   => new DataVinciSystem(DataVinci.Config(limitedSemanticConcretization = true), name)
     case "NoLearnedConc" => new DataVinciSystem(DataVinci.Config(learnedConcretization = false), name)
     case "EditDistRank"  => new DataVinciSystem(DataVinci.Config(editDistanceRanking = true), name)
+    // Table 8's unsupervised comparison point
+    case "DataVinci Unsupervised" => new DataVinciSystem(label = name)
     case other           => throw new IllegalArgumentException(s"unknown system $other")
   }
 }
@@ -75,10 +77,11 @@ object EvalHarness {
   }
 
   /** Table-8 protocol: apply each system's repairs *only* to inputs of rows
-    * whose formula execution fails, then re-execute. `DataVinci+Execution`
-    * uses execution-guided learning; `DataVinci Unsupervised` is the plain
-    * pipeline under the same application protocol; `No Repair` is the
-    * starting point.
+    * whose formula execution fails, then re-execute (`ExecutionGuided.applied`).
+    * `DataVinci+Execution` uses execution-guided learning; every other system,
+    * `DataVinci Unsupervised` (the plain pipeline) among them, cleans the
+    * whole table and is held to that protocol; `No Repair` is the starting
+    * point.
     */
   def runFormulas(spark: SparkSession, tables: Dataset[GenTable],
                   systems: Seq[String]): Dataset[FormulaOutcome] = {
@@ -94,18 +97,15 @@ object EvalHarness {
           case "No Repair" => before
           case "DataVinci+Execution" =>
             ExecutionGuided.clean(dirty, expr, t.inputCols).failingAfter
-          case "DataVinci Unsupervised" =>
-            ExecutionGuided.cleanUnsupervised(dirty, expr, t.inputCols).failingAfter
           case other =>
             val outcome = Systems.make(other).cleanWithLabels(dirty, t.supervisionLabels)
-            var repaired = dirty
-            for {
+            val repairs = for {
               c <- t.inputCols
               co <- outcome.get(c).toVector
               r <- before.toVector
               s <- co.repairs.get(r)
-            } repaired = repaired.updated(c, r, s)
-            ExecutionGuided.failingRows(repaired, expr)
+            } yield (c, r) -> s
+            ExecutionGuided.applied(dirty, expr, before, repairs.toMap).failingAfter
         }
         FormulaOutcome(sysName, t.tableId, multi, t.nRows, before.size, after.size)
       }

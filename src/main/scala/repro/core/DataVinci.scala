@@ -61,16 +61,12 @@ object DataVinci {
     cleanModel(new PatternModel(table, colIdx, 0 until table.numRows, cfg,
       featsOpt.getOrElse(Predicates.featuresOf(table))))
 
-  /** Clean every column of `table`, sharing predicate features. */
-  def cleanTable(table: Table, cfg: Config = Config()): Map[Int, ColumnResult] =
-    cleanColumns(table, table.cols.indices, cfg)
-
-  /** Clean the given columns of `table`; their predicate features are built
-    * once, when a concretizer's slot tree first searches a split.
+  /** Clean every column of `table`. The columns share one set of predicate
+    * features, built when a concretizer's slot tree first searches a split.
     */
-  private[core] def cleanColumns(table: Table, cols: Seq[Int], cfg: Config): Map[Int, ColumnResult] = {
+  def cleanTable(table: Table, cfg: Config = Config()): Map[Int, ColumnResult] = {
     lazy val feats = Predicates.featuresOf(table)
-    cols.map(c => c -> cleanModel(new PatternModel(table, c, 0 until table.numRows, cfg, feats))).toMap
+    table.cols.indices.map(c => c -> cleanModel(new PatternModel(table, c, 0 until table.numRows, cfg, feats))).toMap
   }
 
   /** Detect and repair with a model trained on all rows of its column. */

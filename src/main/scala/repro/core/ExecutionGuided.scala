@@ -8,6 +8,10 @@ import repro.formulas.{Errors, Expr, FormulaEval}
   * *only over the succeeding input values* (all of which are treated as
   * significant), flag the failing inputs as data errors, and repair them with
   * the ordinary pattern-based procedure.
+  *
+  * §5.3's comparison point, plain DataVinci whose repairs are applied only
+  * to the inputs of failing rows, is the evaluation harness's protocol
+  * (`EvalHarness.runFormulas`), which holds every system to [[applied]].
   */
 object ExecutionGuided {
 
@@ -48,25 +52,12 @@ object ExecutionGuided {
     applied(table, formula, before, repairs)
   }
 
-  /** The unsupervised comparison point: ordinary DataVinci cleaning of the
-    * input columns, repairs applied only to rows with failing executions
-    * (the evaluation protocol of §5.3).
+  /** Apply `repairs` to `table` and evaluate the formula again: the one
+    * repair-application step of Table 8, shared by execution-guided repair
+    * and by every system the evaluation harness compares with it.
     */
-  def cleanUnsupervised(table: Table, formula: Expr, inputCols: Vector[Int],
-                        cfg: DataVinci.Config = DataVinci.Config()): Result = {
-    val before = failingRows(table, formula)
-    if (before.isEmpty) return Result(before, before, Map.empty, table)
-    val repairs = for {
-      (c, res) <- DataVinci.cleanColumns(table, inputCols, cfg)
-      r <- res.errors if before(r)
-      s <- res.suggestionFor(r)
-    } yield (c, r) -> s
-    applied(table, formula, before, repairs)
-  }
-
-  /** Apply `repairs` to `table` and evaluate the formula again. */
-  private def applied(table: Table, formula: Expr, before: Set[Int],
-                      repairs: Map[(Int, Int), String]): Result = {
+  def applied(table: Table, formula: Expr, before: Set[Int],
+              repairs: Map[(Int, Int), String]): Result = {
     val repaired = repairs.foldLeft(table) { case (t, ((c, r), s)) => t.updated(c, r, s) }
     Result(before, failingRows(repaired, formula), repairs, repaired)
   }

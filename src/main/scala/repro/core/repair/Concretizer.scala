@@ -3,6 +3,7 @@ package repro.core.repair
 import repro.core.{Distinct, Table}
 import repro.core.pattern.{Masks, Pattern}
 import repro.core.repair.Predicates.Feature
+import repro.semantics.SemanticKB
 import scala.collection.mutable
 
 /** The repair side of one significant pattern: it turns a flagged row into
@@ -155,8 +156,8 @@ final class Concretizer(
 }
 
 object Concretizer {
-  private val visual = Map('o' -> '0', 'l' -> '1', 'e' -> '3', 'a' -> '4', 't' -> '7', 's' -> '5')
-  private val visualInv = visual.map(_.swap)
+  /** Letter → look-alike digit: the inverse of the knowledge base's table. */
+  private val visual = SemanticKB.visualInv.map(_.swap)
 
   /** Map an input character into a class via case fold or the visual-typo
     * table (both directions); `None` if no mapping lands in the class.
@@ -164,6 +165,6 @@ object Concretizer {
   def foldInto(c: Char, cc: repro.core.pattern.CharClassT): Option[Char] =
     Vector(c.toUpper, c.toLower) .find(x => x != c && cc.contains(x))
       .orElse(visual.get(c.toLower).filter(cc.contains))
-      .orElse(visualInv.get(c).filter(cc.contains))
-      .orElse(visualInv.get(c).map(_.toUpper).filter(cc.contains))
+      .orElse(SemanticKB.visualInv.get(c).filter(cc.contains))
+      .orElse(SemanticKB.visualInv.get(c).map(_.toUpper).filter(cc.contains))
 }

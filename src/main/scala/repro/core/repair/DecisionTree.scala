@@ -126,17 +126,24 @@ object DecisionTree {
       }
 
       private lazy val split: Option[(Int, Grown, Grown)] =
-        if (counts(major) == size) None
-        else
+        if (counts(major) == size || featBits.isEmpty) None
+        else {
           // the first minimum: lowest feature index among ties
-          featBits.indices.minByOption(j => error(featBits(j))).flatMap { j =>
-            val t     = and(mask, featBits(j))
-            val tSize = popcount(t)
-            // a split with an empty side leaves the node a leaf; zero-gain splits
-            // are kept, since deeper levels may still separate xor-like labels
-            if (tSize == 0 || tSize == size) None
-            else Some((j, new Grown(t), new Grown(andNot(mask, featBits(j)))))
+          var j = 0
+          var best = error(featBits(0))
+          var k = 1
+          while (k < featBits.length) {
+            val e = error(featBits(k))
+            if (e < best) { best = e; j = k }
+            k += 1
           }
+          val t     = and(mask, featBits(j))
+          val tSize = popcount(t)
+          // a split with an empty side leaves the node a leaf; zero-gain splits
+          // are kept, since deeper levels may still separate xor-like labels
+          if (tSize == 0 || tSize == size) None
+          else Some((j, new Grown(t), new Grown(andNot(mask, featBits(j)))))
+        }
 
       /** Examples the majority children of a split on `feat` misclassify. */
       private def error(feat: Array[Long]): Int = {

@@ -6,7 +6,8 @@ import repro.benchgen.{BenchGen, GenTable}
 import repro.formulas.FormulaParser
 
 /** Pins what the pipeline's entry points return on seeded benchmark tables:
-  * `cleanTable`, `ExecutionGuided.clean` / `cleanUnsupervised` and
+  * `cleanTable`, `ExecutionGuided.clean`, Table 8's unsupervised protocol
+  * (`cleanTable` plus `ExecutionGuided.applied`) and
   * `DataVinciSpark.learnColumnModel`. Each digest is a SHA-256 over a sorted
   * rendering of the outputs, so any change of behaviour, however small,
   * changes a digest. The pipeline is deterministic; a digest that moves
@@ -70,7 +71,19 @@ class CharacterizationSpec extends AnyFunSuite {
       }
     check("guided", lines(ExecutionGuided.clean(_, _, _)),
       "ba9679d164501451435220b8ee773142a832bad349a4d80baa8e07e6354d61fc")
-    check("unsupervised", lines(ExecutionGuided.cleanUnsupervised(_, _, _)),
+    // Table 8's unsupervised row: plain cleaning, repairs applied only to
+    // the inputs of failing rows (the evaluation harness's protocol)
+    def unsupervised(table: Table, expr: repro.formulas.Expr, inputCols: Vector[Int]): ExecutionGuided.Result = {
+      val before = ExecutionGuided.failingRows(table, expr)
+      val res = DataVinci.cleanTable(table)
+      val repairs = for {
+        c <- inputCols
+        r <- before.toVector
+        s <- res(c).suggestionFor(r)
+      } yield (c, r) -> s
+      ExecutionGuided.applied(table, expr, before, repairs.toMap)
+    }
+    check("unsupervised", lines(unsupervised),
       "3cb4d423b8663994eb25bc7cbbd5a7f07afea97a6aba25453e3742e08b1f3d58")
   }
 

@@ -12,9 +12,12 @@ class ExecutionGuidedSpec extends AnyFunSuite {
                                          "C15", "C26", "Chrome17", "Chrome20", "Chrome25", "Chrome18"))
     val f = expr("""=RIGHT(A1, LEN(A1) - SEARCH("Chrome",A1) - LEN("Chrome") + 1)""")
 
-    val unsup = ExecutionGuided.cleanUnsupervised(table, f, Vector(0))
-    assert(unsup.failingBefore == Set(2, 5, 6))
-    assert(unsup.repairs.isEmpty) // C[0-9]{2} is significant — no detection
+    assert(ExecutionGuided.failingRows(table, f) == Set(2, 5, 6))
+    // unsupervised: C[0-9]{2} is significant, so no failing row is flagged
+    // and there is nothing to apply to them
+    val unsup = DataVinci.cleanColumn(table, 0)
+    assert((unsup.errors & Set(2, 5, 6)).isEmpty)
+    assert(Set(2, 5, 6).flatMap(unsup.suggestionFor).isEmpty)
 
     val guided = ExecutionGuided.clean(table, f, Vector(0))
     assert(guided.repairs == Map((0, 2) -> "Chrome30", (0, 5) -> "Chrome15", (0, 6) -> "Chrome26"))
