@@ -44,13 +44,15 @@ final class Concretizer(
 
   private lazy val dict = Distinct(maskedValues)
 
-  /** Each distinct masked value's captures, if it is in the pattern's language. */
-  private lazy val captures: Vector[Option[EditDp.Captures]] =
-    dict.values.map(v => if (pattern.matches(v)) EditDp.captures(dag(v.length), v) else None)
+  /** Each distinct masked value's aligned path over its length's DAG, if
+    * it is in the pattern's language.
+    */
+  private lazy val paths: Vector[Option[Array[Int]]] =
+    dict.values.map(v => if (pattern.matches(v)) EditDp.align(dag(v.length), v) else None)
 
   /** Rows whose (masked) value is in the pattern's language. */
   lazy val matchingRows: Vector[Int] =
-    maskedValues.indices.toVector.filter(r => captures(dict.ids(r)).nonEmpty)
+    maskedValues.indices.filter(r => paths(dict.ids(r)).nonEmpty).toVector
 
   /** The entity suggestion of the mask at position `pos` of `row`'s masked
     * value, by the mask's occurrence index.
@@ -60,20 +62,42 @@ final class Concretizer(
 
   // ---- training examples -------------------------------------------------
 
-  /** Examples (row, label) per abstract slot, from the captures of every
-    * matching row: a class slot is labelled with the consumed character, a
-    * disjunction occurrence `SlotKey(disjId, occ, 0)` with the chosen
-    * alternative, and a mask slot with the row's entity suggestion. Captures
-    * are computed once per distinct matching value; every value in the
-    * pattern's language aligns on its DAG, the empty pattern's "" included.
+  /** Examples (row, label) per abstract slot, in row order, from the
+    * captured transitions of every matching row's path (§3.4): each edge
+    * that [[Edge.captures]] adds one example to its slot. A class slot is
+    * labelled with the consumed character, a disjunction occurrence
+    * `SlotKey(disjId, occ, 0)` with the chosen alternative, and a mask slot
+    * with the row's entity suggestion. Paths are found once per distinct
+    * matching value, and each DAG's edges are mapped to their slots' example
+    * lists once; every value in the pattern's language aligns on its DAG,
+    * the empty pattern's "" included.
     */
-  private lazy val bySlot: Map[SlotKey, Vector[(Int, String)]] =
-    matchingRows.flatMap { r =>
-      val c = captures(dict.ids(r)).get
-      c.clsChars.map { case (slot, ch) => (slot, r, ch.toString) } ++
-        c.disjChoice.map { case (slot, alt) => (slot, r, alt) } ++
-        c.maskAt.flatMap { case (slot, pos) => suggestionAt(r, pos).map(sug => (slot, r, sug)) }
-    }.groupBy(_._1).view.mapValues(_.map(t => (t._2, t._3))).toMap
+  private lazy val bySlot: Map[SlotKey, Vector[(Int, String)]] = {
+    val examples = mutable.HashMap.empty[SlotKey, mutable.Builder[(Int, String), Vector[(Int, String)]]]
+    // per DAG (by value length), each edge's slot's examples; null if it captures nothing
+    val sinks = mutable.HashMap.empty[Int, Array[mutable.Builder[(Int, String), Vector[(Int, String)]]]]
+    for (r <- maskedValues.indices; path <- paths(dict.ids(r))) {
+      val v = maskedValues(r)
+      val d = dag(v.length)
+      val sink = sinks.getOrElseUpdate(v.length, d.edges.iterator.map { e =>
+        if (e.captures) examples.getOrElseUpdate(e.slot, Vector.newBuilder) else null
+      }.toArray)
+      var i = 0
+      while (i < path.length) {
+        val b = sink(path(i))
+        if (b != null) {
+          val e = d.edges(path(i))
+          e.label match {
+            case ClsLabel(_)  => b += r -> v.charAt(i).toString
+            case MaskLabel(_) => suggestionAt(r, i).foreach(sug => b += r -> sug)
+            case LitLabel(_)  => b += r -> d.disjAlts(e.disjId)(e.disjAlt)
+          }
+        }
+        i += 1
+      }
+    }
+    examples.iterator.map { case (slot, b) => slot -> b.result() }.filter(_._2.nonEmpty).toMap
+  }
 
   /** The same examples per token; token ids are unique, so kinds never mix. */
   private lazy val byTok: Map[Int, Vector[(Int, String)]] =

@@ -8,6 +8,12 @@ import repro.core.pattern._
   * quantified groups) are unrolled to depth ⌈len(v)/len(cycle)⌉, giving an
   * acyclic graph that the DP reads through predecessor lists.
   *
+  * The same graph is also held as edge masks for bit-parallel simulation
+  * (Baeza-Yates & Gonnet, CACM 1992): a mask is `words` longs, bit `j % 64`
+  * of word `j / 64` standing for edge `j`. The DAG keeps one predecessor mask
+  * per edge, the start and accepting masks, and one mask per distinct edge
+  * label, so the edges a character matches are an OR over its few labels.
+  *
   * @param preds          per edge, the ids of the edges that may come right
   *                       before it, in id order; -1 is the virtual start.
   *                       Every id is smaller than the edge's own.
@@ -22,6 +28,48 @@ final class Dag private (
 
   /** Edges a traversal may start on. */
   def startEdges: Set[Int] = edges.indices.filter(preds(_).contains(-1)).toSet
+
+  /** Longs per edge mask. */
+  private[repair] val words: Int = (edges.length + 63) >>> 6
+
+  private def maskOf(ids: Iterable[Int], into: Array[Long] = new Array[Long](words), at: Int = 0): Array[Long] = {
+    for (j <- ids; if j >= 0) into(at + (j >>> 6)) |= 1L << j
+    into
+  }
+
+  /** Edge `j`'s predecessors, the virtual start left out, in the mask at
+    * `predMasks(j * words)`.
+    */
+  private[repair] val predMasks: Array[Long] = {
+    val out = new Array[Long](edges.length * words)
+    for (j <- edges.indices) maskOf(preds(j), out, j * words)
+    out
+  }
+
+  private[repair] val startMask: Array[Long]  = maskOf(startEdges)
+  private[repair] val acceptMask: Array[Long] = maskOf(acceptingEdges)
+
+  /** The distinct edge labels, and the mask of each one's edges at
+    * `labelMasks(l * words)`.
+    */
+  private val labels: Array[EdgeLabel] = edges.iterator.map(_.label).distinct.toArray
+  private val labelMasks: Array[Long] = {
+    val out = new Array[Long](labels.length * words)
+    for (e <- edges) out(labels.indexOf(e.label) * words + (e.id >>> 6)) |= 1L << e.id
+    out
+  }
+
+  /** ORs the mask of the edges whose label matches `c` into `out` at `at`. */
+  private[repair] def matchInto(c: Char, out: Array[Long], at: Int): Unit = {
+    var l = 0
+    while (l < labels.length) {
+      if (labels(l).matches(c)) {
+        var k = 0
+        while (k < words) { out(at + k) |= labelMasks(l * words + k); k += 1 }
+      }
+      l += 1
+    }
+  }
 }
 
 object Dag {

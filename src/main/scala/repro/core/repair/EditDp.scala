@@ -42,6 +42,11 @@ object EditDp {
     val move = Array.ofDim[Byte](n + 1, m)
     val prev = Array.ofDim[Int](n + 1, m)
 
+    // the edges s(i) matches, one mask per input char
+    val w     = dag.words
+    val hits  = new Array[Long](n * w)
+    for (i <- 0 until n) dag.matchInto(s.charAt(i), hits, i * w)
+
     // cost at layer i of predecessor jp; the virtual start costs i deletions
     def at(i: Int, jp: Int): Int = if (jp < 0) i else cost(i)(jp)
 
@@ -53,7 +58,7 @@ object EditDp {
 
       if (i >= 1) {
         // M or S: consume s(i-1) while traversing j
-        val mc = if (dag.edges(j).label.matches(s(i - 1))) 0 else 1
+        val mc = if ((hits((i - 1) * w + (j >>> 6)) & (1L << j)) != 0) 0 else 1
         for (jp <- ps) {
           val c = at(i - 1, jp) + mc
           if (c < best) { best = c; bMove = if (mc == 0) M else S; bPrev = jp }
@@ -108,19 +113,74 @@ object EditDp {
     * value, all match moves, found without edit costs: it ends on the last
     * accepting edge, and each edge follows its first aligned predecessor. An
     * edgeless DAG (the empty pattern) aligns exactly "", with an empty path.
-    * Captures run it on every matching row.
+    *
+    * A bit-parallel forward pass over the DAG's edge masks: row `i` holds
+    * the edges on which match moves can consume `s.take(i + 1)`, that is the
+    * edges `s(i)` matches that have a predecessor in row `i - 1` (the start
+    * edges for row 0). It stops at the first empty row. The backtrace takes
+    * the highest set bit of the last row and the accepting mask, then at each
+    * step the lowest set bit of the edge's predecessor mask and the row
+    * before: the tie-break above, in id order. The concretizer runs it on
+    * every distinct matching value.
     */
   def align(dag: Dag, s: String): Option[Array[Int]] = {
     val n = s.length
     if (dag.edges.isEmpty) return if (n == 0) Some(Array.emptyIntArray) else None
-    // ok(i)(j): match moves consume s.take(i) and end on edge j
-    val ok = Array.ofDim[Boolean](n + 1, dag.edges.length)
-    def okAt(i: Int, jp: Int): Boolean = if (jp < 0) i == 0 else ok(i)(jp)
-    for (i <- 1 to n; j <- dag.edges.indices)
-      ok(i)(j) = dag.edges(j).label.matches(s(i - 1)) && dag.preds(j).exists(okAt(i - 1, _))
-    dag.acceptingEdges.filter(ok(n)(_)).maxOption.map { last =>
-      (n until 1 by -1).scanLeft(last)((j, i) => dag.preds(j).find(okAt(i - 1, _)).get).reverse.toArray
+    if (n == 0) return None
+    val w    = dag.words
+    val pred = dag.predMasks
+    val ok   = new Array[Long](n * w)
+
+    /** The lowest set bit of `mask(at ..)` and `ok(row ..)` over `words`, or -1. */
+    def lowest(mask: Array[Long], at: Int, row: Int, words: Int): Int = {
+      var k = 0
+      while (k < words) {
+        val x = mask(at + k) & ok(row + k)
+        if (x != 0) return (k << 6) + java.lang.Long.numberOfTrailingZeros(x)
+        k += 1
+      }
+      -1
     }
+
+    dag.matchInto(s.charAt(0), ok, 0)
+    var alive = false
+    for (k <- 0 until w) { ok(k) &= dag.startMask(k); alive |= ok(k) != 0 }
+    var i = 1
+    while (alive && i < n) {
+      val row = i * w
+      dag.matchInto(s.charAt(i), ok, row)
+      alive = false
+      var k = 0
+      while (k < w) {
+        var cand = ok(row + k)
+        var kept = 0L
+        while (cand != 0) {
+          val bit = cand & -cand
+          val j   = (k << 6) + java.lang.Long.numberOfTrailingZeros(cand)
+          // predecessors have smaller ids, so only words up to j's own
+          if (lowest(pred, j * w, row - w, k + 1) >= 0) kept |= bit
+          cand ^= bit
+        }
+        ok(row + k) = kept
+        alive |= kept != 0
+        k += 1
+      }
+      i += 1
+    }
+    if (!alive) return None
+
+    var last = -1
+    var k    = w - 1
+    while (last < 0 && k >= 0) {
+      val x = ok((n - 1) * w + k) & dag.acceptMask(k)
+      if (x != 0) last = (k << 6) + 63 - java.lang.Long.numberOfLeadingZeros(x)
+      k -= 1
+    }
+    if (last < 0) return None
+    val path = new Array[Int](n)
+    path(n - 1) = last
+    for (i <- n - 1 until 0 by -1) path(i - 1) = lowest(pred, path(i) * w, (i - 1) * w, w)
+    Some(path)
   }
 
   /** Forward emission: turn the step sequence into emit units, abstracting
@@ -158,38 +218,6 @@ object EditDp {
     }
     out.result()
   }
-
-  /** Captured transitions of a value that matches the pattern — the training
-    * signal for concretization constraints (§3.4).
-    *
-    * @param clsChars   per class-slot, the consumed character
-    * @param disjChoice per disjunction occurrence `SlotKey(disjId, occ, 0)`,
-    *                   the chosen alternative
-    * @param maskAt     per mask slot, the input position of the consumed mask
-    */
-  final case class Captures(clsChars: Map[SlotKey, Char],
-                            disjChoice: Map[SlotKey, String],
-                            maskAt: Map[SlotKey, Int])
-
-  /** Extract captures of a matching value; `None` when `s` is not in the
-    * DAG's language.
-    */
-  def captures(dag: Dag, s: String): Option[Captures] =
-    align(dag, s).map { path =>
-      var cls  = Map.empty[SlotKey, Char]
-      var disj = Map.empty[SlotKey, String]
-      var mask = Map.empty[SlotKey, Int]
-      for (i <- path.indices) {
-        val e = dag.edges(path(i))
-        e.label match {
-          case ClsLabel(_)  => cls += e.slot -> s(i)
-          case MaskLabel(_) => mask += e.slot -> i
-          case LitLabel(_)  => ()
-        }
-        if (e.disjId >= 0) disj += SlotKey(e.disjId, e.slot.occ, 0) -> dag.disjAlts(e.disjId)(e.disjAlt)
-      }
-      Captures(cls, disj, mask)
-    }
 
   /** Edit operations of `rep` that touch alphanumeric (or semantic)
     * characters of `s` or of the pattern — ranker feature (2) of §3.5.

@@ -40,7 +40,18 @@ final case class MaskLabel(semType: String) extends EdgeLabel {
   * *choice* when no character of the alternative was anchored by a match.
   */
 final case class Edge(id: Int, label: EdgeLabel, slot: SlotKey,
-                      disjId: Int = -1, disjAlt: Int = -1)
+                      disjId: Int = -1, disjAlt: Int = -1) {
+
+  /** Whether a match move along this edge is a training example for its
+    * slot (§3.4): a class or mask edge, or the first edge of a disjunction
+    * alternative, whose slot `SlotKey(disjId, occ, 0)` keys the occurrence's
+    * choice.
+    */
+  def captures: Boolean = label match {
+    case LitLabel(_) => disjId >= 0 && slot.charIdx == 0
+    case _           => true
+  }
+}
 
 /** The moves of Table 1. */
 object Move extends Enumeration {

@@ -143,17 +143,27 @@ class EditDpSpec extends AnyFunSuite {
     assert(r.steps.map(_.move) == Vector(Move.MatchM, Move.MatchM, Move.Sub))
   }
 
+  /** The captured transitions of `s` (§3.4): per step of its aligned path
+    * whose edge captures, the edge and the consumed input index.
+    */
+  private def captured(d: Dag, s: String): Option[Vector[(Edge, Int)]] =
+    EditDp.align(d, s).map(path => path.indices.collect { case i if d.edges(path(i)).captures => d.edges(path(i)) -> i }.toVector)
+
+  private def isCls(e: Edge): Boolean = e.label.isInstanceOf[ClsLabel]
+
   test("align returns zero-cost captures for matching values") {
     val p = Pattern(Lit("A"), Cls(Digit, Some(2)), Lit("-"), Disj(Vector("CAT", "PRO")))
-    val c = EditDp.captures(Dag.build(p, 7), "A42-PRO").get
-    assert(c.clsChars.values.toSet == Set('4', '2'))
-    assert(c.disjChoice == Map(SlotKey(3, Vector.empty, 0) -> "PRO"))
-    assert(c.maskAt.isEmpty)
+    val d = Dag.build(p, 7)
+    val c = captured(d, "A42-PRO").get
+    assert(c.collect { case (e, i) if isCls(e) => "A42-PRO"(i) }.toSet == Set('4', '2'))
+    assert(c.collect { case (e, _) if e.disjId >= 0 => e.slot -> d.disjAlts(e.disjId)(e.disjAlt) } ==
+      Vector(SlotKey(3, Vector.empty, 0) -> "PRO"))
+    assert(!c.exists(_._1.label.isInstanceOf[MaskLabel]))
   }
 
   test("align fails for non-matching values") {
     val p = Pattern(Lit("A"), Cls(Digit, Some(2)))
-    assert(EditDp.captures(Dag.build(p, 3), "A4x").isEmpty)
+    assert(captured(Dag.build(p, 3), "A4x").isEmpty)
     assert(EditDp.align(Dag.build(p, 2), "A4").isEmpty)
   }
 
@@ -161,27 +171,27 @@ class EditDpSpec extends AnyFunSuite {
     val p = Pattern(Vector.empty[Tok])
     assert(p.matches(""))
     assert(EditDp.align(Dag.build(p, 0), "").isDefined)
-    assert(EditDp.captures(Dag.build(p, 0), "").contains(EditDp.Captures(Map.empty, Map.empty, Map.empty)))
+    assert(captured(Dag.build(p, 0), "").contains(Vector.empty))
     assert(EditDp.align(Dag.build(p, 1), "x").isEmpty)
   }
 
   test("captures record mask positions") {
     val p = Pattern(MaskTok("country"), Lit("-"), Cls(Digit, Some(3)))
     val m = Masks.charFor("country")
-    val c = EditDp.captures(Dag.build(p, 5), s"$m-837").get
-    assert(c.maskAt.values.toSet == Set(0))
+    val c = captured(Dag.build(p, 5), s"$m-837").get
+    assert(c.collect { case (e, i) if e.label.isInstanceOf[MaskLabel] => i }.toSet == Set(0))
   }
 
   test("captures key class chars by slot within fixed-length runs") {
     val p = Pattern(Cls(Digit, Some(3)))
-    val c = EditDp.captures(Dag.build(p, 3), "123").get
-    assert(c.clsChars.map { case (k, v) => k.charIdx -> v } == Map(0 -> '1', 1 -> '2', 2 -> '3'))
+    val c = captured(Dag.build(p, 3), "123").get
+    assert(c.map { case (e, i) => e.slot.charIdx -> "123"(i) }.toMap == Map(0 -> '1', 1 -> '2', 2 -> '3'))
   }
 
   test("repetition captures use occurrence vectors") {
     val p = Pattern(Group(Vector(Lit("A"), Cls(Digit, Some(1)), Lit("."))))
-    val c = EditDp.captures(Dag.build(p, 6), "A2.A3.").get
-    val byOcc = c.clsChars.map { case (k, v) => k.occ -> v }
+    val c = captured(Dag.build(p, 6), "A2.A3.").get
+    val byOcc = c.collect { case (e, i) if isCls(e) => e.slot.occ -> "A2.A3."(i) }.toMap
     assert(byOcc == Map(Vector(0) -> '2', Vector(1) -> '3'))
   }
 
