@@ -28,7 +28,7 @@ final class Gpt35Sim extends CleaningSystem {
         // snap-to-frequent reasoning only applies in redundant columns — a
         // rare-but-valid quarter among frequent quarters is not an outlier
         val freqOutlier = categoricalish && freq(v) == 1 && freq.valuesIterator.max >= 3 &&
-          others.exists(w => Strings.lev(v, w) <= 2 && freq(w) >= 2)
+          { val dist = Strings.levFrom(v); others.exists(w => dist(w) <= 2 && freq(w) >= 2) }
         val nullish = v.isEmpty || v.equalsIgnoreCase("n/a")
         if (semanticOutlier || freqOutlier || nullish || contentAnomaly(v, values)) errors += r
       }

@@ -83,10 +83,10 @@ final class HoloCleanLite(minSupport: Int = 2, oddsMargin: Double = 3.0) extends
       sig != domSig && shares(sig) <= 0.1
     }.toSet
     val repairs = errors.iterator.flatMap { r =>
-      val v = values(r)
+      val dist = Strings.levFrom(values(r))
       values.zipWithIndex.collect {
         case (w, i) if i != r && ColumnStats.coarseSig(w) == domSig => w
-      }.sortBy(w => (Strings.lev(v, w), w)).headOption.map(r -> _)
+      }.sortBy(w => (dist(w), w)).headOption.map(r -> _)
     }.toMap
     ColumnOutcome(errors, repairs)
   }

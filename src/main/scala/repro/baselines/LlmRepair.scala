@@ -89,8 +89,9 @@ object LlmRepair {
   /** Snap to a close frequent neighbour (edit distance ≤ 2, frequency ≥ 2). */
   private[baselines] def frequentNeighbor(v: String, others: Vector[String]): Option[String] = {
     val freq = ColumnStats.freq(others)
-    freq.toVector.filter { case (w, c) => c >= 2 && w != v && Strings.lev(v, w) <= 2 }
-      .sortBy { case (w, c) => (Strings.lev(v, w), -c, w) }
+    val dist = Strings.levFrom(v)
+    freq.toVector.filter { case (w, c) => c >= 2 && w != v && dist(w) <= 2 }
+      .sortBy { case (w, c) => (dist(w), -c, w) }
       .headOption.map(_._1)
   }
 

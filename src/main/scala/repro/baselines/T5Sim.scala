@@ -50,8 +50,9 @@ final class T5Sim extends CleaningSystem {
         val frequent = ColumnStats.frequentValues(values, 2)
         val repairs = errors.iterator.flatMap { r =>
           val v = values(r)
+          val dist = Strings.levFrom(v)
           // nearest frequent value — even when far (T5's rewrite behaviour)
-          frequent.filter(_ != v).sortBy(w => (Strings.lev(v, w), w)).headOption
+          frequent.filter(_ != v).sortBy(w => (dist(w), w)).headOption
             .orElse(values.find(w => w != v && ColumnStats.coarseSig(w) != ColumnStats.coarseSig(v)))
             .map(w => r -> decoderNoise(v, w))
         }.toMap

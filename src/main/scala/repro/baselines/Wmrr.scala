@@ -42,13 +42,13 @@ final class Wmrr(minSupport: Int = 3, minConfidence: Double = 0.8) extends Clean
     val categoricalish = freq.size.toDouble / math.max(1, values.size) < 0.5
     values.zipWithIndex.collect {
       case (v, r) if freq(v) == 1 =>
+        val dist = Strings.levFrom(v)
         val near = frequent.toVector
           .filter { case (w, _) =>
-            val d = Strings.lev(v, w)
-            d <= (if (v.length >= 6) 2 else 1) &&
+            dist(w) <= (if (v.length >= 6) 2 else 1) &&
               (categoricalish || ColumnStats.coarseSig(v) != ColumnStats.coarseSig(w))
           }
-          .sortBy { case (w, c) => (Strings.lev(v, w), -c, w) }
+          .sortBy { case (w, c) => (dist(w), -c, w) }
         near.headOption.map { case (w, c) => r -> (r, w, c.toDouble) }
     }.flatten.toMap
   }

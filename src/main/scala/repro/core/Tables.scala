@@ -81,6 +81,13 @@ object Strings {
     else if (a.length <= 64) BitLev(a).distance(b)
     else levDp(a, b)
 
+  /** `lev(p, ·)` for many distances from one string: `p`'s bitmasks are
+    * built once, as the kernel's pattern whatever the other string's length
+    * (the distance is symmetric). Beyond one word it is [[lev]].
+    */
+  def levFrom(p: String): String => Int =
+    if (p.length <= 64) BitLev(p).distance else lev(p, _)
+
   /** `min(lev(p, v))` over the non-empty `values`. It builds `p`'s bitmasks
     * once and skips a value whose length differs from `p`'s by at least the
     * best distance so far, since the length difference bounds the distance
@@ -88,13 +95,12 @@ object Strings {
     */
   def closestLev(p: String, values: Iterable[String]): Int = {
     require(values.nonEmpty, "closestLev over no values")
-    val kernel = if (p.length <= 64) BitLev(p) else null
+    val dist = levFrom(p)
     var best = Int.MaxValue
     val it = values.iterator
     while (best > 0 && it.hasNext) {
       val v = it.next()
-      if (math.abs(v.length - p.length) < best)
-        best = math.min(best, if (kernel != null) kernel.distance(v) else lev(p, v))
+      if (math.abs(v.length - p.length) < best) best = math.min(best, dist(v))
     }
     best
   }

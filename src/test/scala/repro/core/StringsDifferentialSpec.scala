@@ -80,6 +80,18 @@ class StringsDifferentialSpec extends AnyFunSuite {
     for (ls <- lens; l <- Seq(0, 1, 63, 64, 65, 80)) assert(ls(l), s"length $l never drawn")
   }
 
+  test("levFrom equals the dynamic program, whichever string is longer") {
+    val rng = new Random(71020L)
+    for (_ <- 0 until 3000) {
+      val p    = string(rng, length(rng))
+      val dist = Strings.levFrom(p)
+      for (_ <- 0 until 4) {
+        val b = near(rng, p)
+        assert(dist(b) == StringsReference.lev(p, b), s"'$p' vs '$b'")
+      }
+    }
+  }
+
   test("closestLev equals the minimum of the dynamic program over the values") {
     val rng = new Random(71021L)
     var exact = 0
