@@ -20,7 +20,7 @@ import scala.collection.mutable
   * for the value's length, and their abstract units are resolved here.
   *
   * Training state is built on demand (§3.4 learns a constraint only for a
-  * slot an edit program emits): the captures, `matchingRows` and the slot
+  * slot an edit program emits): the aligned paths, `matchingRows` and the slot
   * examples at the first label a unit asks for, and the predicate features
   * (`features`, by name) only when a slot's tree searches a split. A repair
   * that only copies literals, deletes, folds the input character or carries
@@ -35,7 +35,7 @@ final class Concretizer(
     alpha: Double,
 ) {
 
-  private val dags = mutable.Map.empty[Int, Dag]
+  private val dags = mutable.LongMap.empty[Dag]
 
   /** The pattern's DAG for values of length `len`, built once per length. */
   private def dag(len: Int): Dag = dags.getOrElseUpdate(len, Dag.build(pattern, len))
@@ -75,7 +75,7 @@ final class Concretizer(
   private lazy val bySlot: Map[SlotKey, Vector[(Int, String)]] = {
     val examples = mutable.HashMap.empty[SlotKey, mutable.Builder[(Int, String), Vector[(Int, String)]]]
     // per DAG (by value length), each edge's slot's examples; null if it captures nothing
-    val sinks = mutable.HashMap.empty[Int, Array[mutable.Builder[(Int, String), Vector[(Int, String)]]]]
+    val sinks = mutable.LongMap.empty[Array[mutable.Builder[(Int, String), Vector[(Int, String)]]]]
     for (r <- maskedValues.indices; path <- paths(dict.ids(r))) {
       val v = maskedValues(r)
       val d = dag(v.length)
