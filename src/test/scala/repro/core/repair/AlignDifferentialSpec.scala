@@ -97,6 +97,23 @@ class AlignDifferentialSpec extends AnyFunSuite {
     assert(over64 > 50 && over128 > 20, s"$over64 DAGs over 64 edges, $over128 over 128")
   }
 
+  test("predecessor lists are ascending and below the edge's id; -1 stands alone") {
+    val rnd = new Random(20261021)
+    var starts, joins = 0
+    for (_ <- 0 until 2000) {
+      val p   = randomPattern(rnd)
+      val dag = Dag.build(p, rnd.nextInt(24))
+      for (j <- dag.edges.indices) {
+        val ps = dag.preds(j).toVector
+        assert(ps.nonEmpty && ps == ps.sorted.distinct && ps.forall(_ < j), s"pattern ${p.regex}, edge $j: $ps")
+        assert(!ps.contains(-1) || ps == Vector(-1), s"pattern ${p.regex}, edge $j: $ps")
+        if (ps == Vector(-1)) starts += 1
+        if (ps.size > 1) joins += 1
+      }
+    }
+    assert(starts > 1000 && joins > 1000, s"$starts start edges, $joins edges with several predecessors")
+  }
+
   test("values of length 0 align only on the edgeless DAG") {
     val rnd = new Random(7)
     for (_ <- 0 until 300) {
