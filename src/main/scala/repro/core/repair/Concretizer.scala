@@ -45,10 +45,9 @@ final class Concretizer(
   private lazy val dict = Distinct(maskedValues)
 
   /** Each distinct masked value's aligned path over its length's DAG, if
-    * it is in the pattern's language.
+    * it is in the pattern's language: the alignment is the membership test.
     */
-  private lazy val paths: Vector[Option[Array[Int]]] =
-    dict.values.map(v => if (pattern.matches(v)) EditDp.align(dag(v.length), v) else None)
+  private lazy val paths: Vector[Option[Array[Int]]] = dict.values.map(v => EditDp.align(dag(v.length), v))
 
   /** Rows whose (masked) value is in the pattern's language. */
   lazy val matchingRows: Vector[Int] =

@@ -6,48 +6,35 @@ import repro.core.pattern._
   *
   * Every edge consumes one character. Loops (one-or-more classes and
   * quantified groups) are unrolled to depth ⌈len(v)/len(cycle)⌉, giving an
-  * acyclic graph that the DP reads through predecessor lists.
+  * acyclic graph.
   *
-  * The same graph is also held as edge masks for bit-parallel simulation
+  * The graph is held only as edge masks for bit-parallel simulation
   * (Baeza-Yates & Gonnet, CACM 1992): a mask is `words` longs, bit `j % 64`
   * of word `j / 64` standing for edge `j`. The DAG keeps one predecessor mask
   * per edge, the start and accepting masks, and one mask per distinct edge
   * label, so the edges a character matches are an OR over its few labels.
+  * Two facts of the builder make the masks a topological order: every bit of
+  * edge `j`'s predecessor mask is below `j`, and a start edge's only
+  * predecessor is the virtual start (its predecessor mask is empty).
   *
-  * @param preds          per edge, the ids of the edges that may come right
-  *                       before it, in id order; -1 is the virtual start.
-  *                       Every id is smaller than the edge's own.
-  * @param acceptingEdges edges a traversal of the whole pattern may end on
+  * @param predMasks  edge `j`'s predecessors, the virtual start left out, in
+  *                   the mask at `predMasks(j * words)`
+  * @param startMask  edges a traversal may start on
+  * @param acceptMask edges a traversal of the whole pattern may end on
   */
 final class Dag private (
     val edges: Vector[Edge],
-    val preds: Array[Array[Int]],
-    val acceptingEdges: Set[Int],
+    private[repair] val predMasks: Array[Long],
+    private[repair] val startMask: Array[Long],
+    private[repair] val acceptMask: Array[Long],
     val disjAlts: Map[Int, Vector[String]],
 ) {
-
-  /** Edges a traversal may start on. */
-  def startEdges: Set[Int] = edges.indices.filter(preds(_).contains(-1)).toSet
 
   /** Longs per edge mask. */
   private[repair] val words: Int = (edges.length + 63) >>> 6
 
-  private def maskOf(ids: Iterable[Int], into: Array[Long] = new Array[Long](words), at: Int = 0): Array[Long] = {
-    for (j <- ids; if j >= 0) into(at + (j >>> 6)) |= 1L << j
-    into
-  }
-
-  /** Edge `j`'s predecessors, the virtual start left out, in the mask at
-    * `predMasks(j * words)`.
-    */
-  private[repair] val predMasks: Array[Long] = {
-    val out = new Array[Long](edges.length * words)
-    for (j <- edges.indices) maskOf(preds(j), out, j * words)
-    out
-  }
-
-  private[repair] val startMask: Array[Long]  = maskOf(startEdges)
-  private[repair] val acceptMask: Array[Long] = maskOf(acceptingEdges)
+  private[repair] def isStart(j: Int): Boolean     = (startMask(j >>> 6) & (1L << j)) != 0
+  private[repair] def isAccepting(j: Int): Boolean = (acceptMask(j >>> 6) & (1L << j)) != 0
 
   /** The distinct edge labels, and the mask of each one's edges at
     * `labelMasks(l * words)`.
@@ -96,22 +83,22 @@ object Dag {
     *
     * Tokens are emitted from frontiers: each token takes the ids of the edges
     * that may come right before its first edge and returns those that may
-    * come right after it. A new edge's predecessor list is the current
-    * frontier, and the final frontier is the set of accepting edges. Slots
-    * carry the tokens' pre-order ids, shared across loop copies.
+    * come right after it. A new edge's predecessors are the current
+    * frontier, and the final frontier is the set of accepting edges. A
+    * frontier lists its edges in id order, and the virtual start (-1) only
+    * ever stands alone in one. Slots carry the tokens' pre-order ids, shared
+    * across loop copies.
     */
   def build(pattern: Pattern, n: Int): Dag = {
     val edges    = Vector.newBuilder[Edge]
-    val preds    = Array.newBuilder[Array[Int]]
+    val fronts   = scala.collection.mutable.ArrayBuffer.empty[Vector[Int]] // per edge, by id
     val disjAlts = Map.newBuilder[Int, Vector[String]]
-    var nEdge    = 0
 
     def edge(front: Vector[Int], label: EdgeLabel, slot: SlotKey,
              disjId: Int = -1, disjAlt: Int = -1): Vector[Int] = {
-      edges += Edge(nEdge, label, slot, disjId, disjAlt)
-      preds += front.toArray
-      nEdge += 1
-      Vector(nEdge - 1)
+      edges += Edge(fronts.length, label, slot, disjId, disjAlt)
+      fronts += front
+      Vector(fronts.length - 1)
     }
 
     def emit(tok: Tok, id: Int, front: Vector[Int], occ: Vector[Int]): Vector[Int] = tok match {
@@ -140,7 +127,14 @@ object Dag {
       toks.foldLeft(front) { (f, t) => val out = emit(t, id, f, occ); id += size(t); out }
     }
 
-    val last = seq(pattern.toks, 0, Vector(-1), Vector.empty)
-    new Dag(edges.result(), preds.result(), last.filter(_ >= 0).toSet, disjAlts.result())
+    val last   = seq(pattern.toks, 0, Vector(-1), Vector.empty)
+    val words  = (fronts.length + 63) >>> 6
+    val pred   = new Array[Long](fronts.length * words)
+    val start  = new Array[Long](words)
+    val accept = new Array[Long](words)
+    for ((front, j) <- fronts.zipWithIndex; p <- front)
+      if (p < 0) start(j >>> 6) |= 1L << j else pred(j * words + (p >>> 6)) |= 1L << p
+    for (j <- last; if j >= 0) accept(j >>> 6) |= 1L << j
+    new Dag(edges.result(), pred, start, accept, disjAlts.result())
   }
 }

@@ -12,8 +12,9 @@ import scala.collection.mutable.ArrayBuffer
   *                    min_{j'∈p(j)} cost(i-1, j') + [s(i) ∉ l(j)],  // M or S
   *                    cost(i-1, j) + 1 )                            // D
   *
-  * A virtual start edge, id -1 in the DAG's predecessor lists, carries
-  * cost(i, -1) = i (leading deletions).
+  * A virtual start edge, id -1, is the only predecessor of the edges in the
+  * DAG's start mask and carries cost(i, -1) = i (leading deletions). Other
+  * predecessors are read from an edge's mask bits in ascending id order.
   * The answer is min over accepting edges of cost(n, ·); MOVES backpointers
   * reconstruct the minimal abstract edit program.
   */
@@ -50,33 +51,43 @@ object EditDp {
     // cost at layer i of predecessor jp; the virtual start costs i deletions
     def at(i: Int, jp: Int): Int = if (jp < 0) i else cost(i)(jp)
 
-    for (i <- 0 to n; j <- 0 until m) {
-      val ps    = dag.preds(j)
-      var best  = Inf
-      var bMove = M
-      var bPrev = -1
+    // edge j's first predecessor of least cost in `row`, from its mask bits in
+    // ascending order (all below j); -1, the virtual start, for a start edge
+    def cheapestPred(row: Array[Int], j: Int): Int = {
+      if (dag.isStart(j)) return -1
+      var best = -1
+      var k    = 0
+      while (k <= (j >>> 6)) {
+        var x = dag.predMasks(j * w + k)
+        while (x != 0) {
+          val jp = (k << 6) + java.lang.Long.numberOfTrailingZeros(x)
+          if (best < 0 || row(jp) < row(best)) best = jp
+          x &= x - 1
+        }
+        k += 1
+      }
+      best
+    }
 
+    for (i <- 0 to n; j <- 0 until m) {
+      var best = Inf; var bMove = M; var bPrev = -1
       if (i >= 1) {
         // M or S: consume s(i-1) while traversing j
         val mc = if ((hits((i - 1) * w + (j >>> 6)) & (1L << j)) != 0) 0 else 1
-        for (jp <- ps) {
-          val c = at(i - 1, jp) + mc
-          if (c < best) { best = c; bMove = if (mc == 0) M else S; bPrev = jp }
-        }
+        val jp = cheapestPred(cost(i - 1), j)
+        best = at(i - 1, jp) + mc; bMove = if (mc == 0) M else S; bPrev = jp
         // D: delete s(i-1) after having traversed j
         if (cost(i - 1)(j) + 1 < best) { best = cost(i - 1)(j) + 1; bMove = D; bPrev = j }
       }
 
       // I: traverse j by inserting its character, consuming nothing
-      for (jp <- ps) {
-        val c = at(i, jp) + 1
-        if (c < best) { best = c; bMove = I; bPrev = jp }
-      }
+      val jp = cheapestPred(cost(i), j)
+      if (at(i, jp) + 1 < best) { best = at(i, jp) + 1; bMove = I; bPrev = jp }
 
       cost(i)(j) = best; move(i)(j) = bMove; prev(i)(j) = bPrev
     }
 
-    val candidates = dag.acceptingEdges.toVector.map(j => (cost(n)(j), j))
+    val candidates = (0 until m).filter(dag.isAccepting).map(j => (cost(n)(j), j))
     if (candidates.isEmpty) return Vector.empty
     val picks = Vector(candidates.minBy { case (c, j) => (c, -j) }, candidates.minBy { case (c, j) => (c, j) })
     picks.distinct.map { case (finalCost, bestJ) =>

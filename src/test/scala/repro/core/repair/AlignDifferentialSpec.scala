@@ -8,18 +8,33 @@ import scala.util.Random
   * consume the first `i` characters and end on edge `j`) for every (i, j),
   * then traces the path back from the last accepting edge through each
   * edge's first aligned predecessor. `EditDp.align` is checked against it.
+  * It reads the DAG's graph as id lists, taken bit by bit from its masks.
   */
 object AlignReference {
+
+  private def bit(mask: Array[Long], at: Int, j: Int): Boolean = ((mask(at + j / 64) >>> (j % 64)) & 1L) == 1L
+
+  /** The ids of the set bits of the DAG's mask at `at`, ascending. */
+  private def ids(dag: Dag, mask: Array[Long], at: Int): Vector[Int] =
+    (0 until dag.words).filter(k => mask(at + k) != 0).flatMap(k => (k * 64 until k * 64 + 64).filter(bit(mask, at, _))).toVector
+
+  /** Edge `j`'s predecessors in id order; -1 is the virtual start. */
+  def preds(dag: Dag, j: Int): Vector[Int] =
+    (if (bit(dag.startMask, 0, j)) Vector(-1) else Vector.empty) ++ ids(dag, dag.predMasks, j * dag.words)
+
+  def startEdges(dag: Dag): Set[Int]     = ids(dag, dag.startMask, 0).toSet
+  def acceptingEdges(dag: Dag): Set[Int] = ids(dag, dag.acceptMask, 0).toSet
 
   def align(dag: Dag, s: String): Option[Array[Int]] = {
     val n = s.length
     if (dag.edges.isEmpty) return if (n == 0) Some(Array.emptyIntArray) else None
+    val ps = dag.edges.indices.map(preds(dag, _))
     val ok = Array.ofDim[Boolean](n + 1, dag.edges.length)
     def okAt(i: Int, jp: Int): Boolean = if (jp < 0) i == 0 else ok(i)(jp)
     for (i <- 1 to n; j <- dag.edges.indices)
-      ok(i)(j) = dag.edges(j).label.matches(s(i - 1)) && dag.preds(j).exists(okAt(i - 1, _))
-    dag.acceptingEdges.filter(ok(n)(_)).maxOption.map { last =>
-      (n until 1 by -1).scanLeft(last)((j, i) => dag.preds(j).find(okAt(i - 1, _)).get).reverse.toArray
+      ok(i)(j) = dag.edges(j).label.matches(s(i - 1)) && ps(j).exists(okAt(i - 1, _))
+    acceptingEdges(dag).filter(ok(n)(_)).maxOption.map { last =>
+      (n until 1 by -1).scanLeft(last)((j, i) => ps(j).find(okAt(i - 1, _)).get).reverse.toArray
     }
   }
 }
@@ -104,7 +119,7 @@ class AlignDifferentialSpec extends AnyFunSuite {
       val p   = randomPattern(rnd)
       val dag = Dag.build(p, rnd.nextInt(24))
       for (j <- dag.edges.indices) {
-        val ps = dag.preds(j).toVector
+        val ps = AlignReference.preds(dag, j)
         assert(ps.nonEmpty && ps == ps.sorted.distinct && ps.forall(_ < j), s"pattern ${p.regex}, edge $j: $ps")
         assert(!ps.contains(-1) || ps == Vector(-1), s"pattern ${p.regex}, edge $j: $ps")
         if (ps == Vector(-1)) starts += 1
