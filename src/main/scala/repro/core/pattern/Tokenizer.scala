@@ -5,7 +5,8 @@ package repro.core.pattern
   *
   * Run kinds: digit runs, alphabetic runs (tagged with their case shape),
   * space runs, semantic-mask symbols (always length 1) and punctuation
-  * (one run per character, so delimiters stay individually repairable).
+  * (one run per code point, so delimiters stay individually repairable and
+  * a surrogate pair such as an emoji stays whole).
   */
 object Tokenizer {
 
@@ -27,7 +28,7 @@ object Tokenizer {
     def text: String = Masks.charFor(semType).toString
   }
   final case class PunctRun(text: String) extends Run {
-    require(text.length == 1, "punctuation runs are single characters")
+    require(text.codePointCount(0, text.length) == 1, "punctuation runs are single code points")
   }
 
   private def shapeOf(s: String): CaseShape =
@@ -43,8 +44,8 @@ object Tokenizer {
     else if (c == ' ' || c == '\t') 2
     else 4 // punctuation / other
 
-  /** Tokenize `value` into runs. Mask symbols and punctuation always form
-    * single-character runs.
+  /** Tokenize `value` into runs. Mask symbols form single-character runs,
+    * punctuation single-code-point ones.
     */
   def runs(value: String): Vector[Run] = {
     if (value.isEmpty) return Vector.empty
@@ -54,15 +55,16 @@ object Tokenizer {
       val c = value(i)
       val k = kindOf(c)
       if (k == 3) { out += MaskRun(Masks.typeFor(c).get); i += 1 }
-      else if (k == 4) { out += PunctRun(c.toString); i += 1 }
       else {
-        var j = i + 1
-        while (j < value.length && kindOf(value(j)) == k) j += 1
+        // a punctuation run is one code point; other runs extend while their kind holds
+        var j = i + Character.charCount(value.codePointAt(i))
+        while (k != 4 && j < value.length && kindOf(value(j)) == k) j += 1
         val text = value.substring(i, j)
         out += (k match {
           case 0 => DigitRun(text)
           case 1 => AlphaRun(text, shapeOf(text))
-          case _ => SpaceRun(text)
+          case 2 => SpaceRun(text)
+          case _ => PunctRun(text)
         })
         i = j
       }

@@ -81,6 +81,15 @@ class DataVinciSparkSpec extends SparkSpec {
     assert(model.isError("zz~11"))
   }
 
+  test("learnColumnModel keeps an emoji delimiter's pattern") {
+    val e     = "\uD83D\uDE00"
+    val clean = Vector(s"ab${e}12", s"cd${e}34", s"ef${e}56", s"gh${e}78", s"ij${e}90", s"kl${e}11")
+    val model = DataVinciSpark.learnColumnModel(clean :+ "mn-22")
+    assert(clean.forall(v => !model.isError(v)))
+    assert(!model.isError(s"op${e}33")) // unseen, in the language
+    assert(model.isError("mn-22") && model.isError("zz-99"))
+  }
+
   test("clean column model flags nothing") {
     val model = DataVinciSpark.learnColumnModel(Vector("1", "2", "3", "4", "5"))
     assert((1 to 9).forall(i => !model.isError(i.toString)))

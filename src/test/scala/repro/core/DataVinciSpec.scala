@@ -48,6 +48,14 @@ class DataVinciSpec extends AnyFunSuite {
     assert(res.suggestionFor(5).contains("Birmingham"))
   }
 
+  test("an emoji delimiter: the odd one out is flagged and repaired with the pair intact") {
+    val e     = "\uD83D\uDE00"
+    val table = Table.of("c" -> Seq(s"ab${e}12", s"cd${e}34", s"ef${e}56", s"gh${e}78", s"ij${e}90", s"kl${e}11", "mn-22"))
+    val res   = DataVinci.cleanColumn(table, 0)
+    assert(res.errors == Set(6), s"sig=${res.significant.map(_._1.pretty)}")
+    assert(res.suggestionFor(6).contains(s"mn${e}22"))
+  }
+
   test("Fig 6 trap 1: error covered by a significant pattern is missed") {
     val table = Table.of("c" -> Seq("ARG", "CHN0", "USA", "GER0", "FRA"))
     val res = DataVinci.cleanColumn(table, 0)

@@ -119,6 +119,14 @@ class PatternLearnerSpec extends AnyFunSuite {
     assert(top._2 == 0.75)
   }
 
+  test("an emoji delimiter keeps its column's pattern") {
+    val e  = "\uD83D\uDE00"
+    val lp = learn(s"ab${e}12", s"cd${e}34", s"ef${e}56", s"gh${e}78", s"ij${e}90", s"kl${e}11", "mn-22")
+    val (top, coverage) = lp.patterns.head
+    assert(coverage == 6.0 / 7, top.pretty)
+    assert(top.matches(s"zz${e}00") && !top.matches("zz-00"))
+  }
+
   test("distinct punctuation splits clusters") {
     val lp  = learn("a-1", "b-2", "c_3", "d_4")
     val sig = lp.significant(0.2)

@@ -21,6 +21,12 @@ class TokenizerSpec extends AnyFunSuite {
     assert(runs("--") == Vector(PunctRun("-"), PunctRun("-")))
   }
 
+  test("a surrogate pair is one punctuation run") {
+    assert(runs("ab\uD83D\uDE0012") == Vector(AlphaRun("ab", AllLower), PunctRun("\uD83D\uDE00"), DigitRun("12")))
+    // an unpaired half stays a run of its own
+    assert(runs("\uD83D-") == Vector(PunctRun("\uD83D"), PunctRun("-")))
+  }
+
   test("space run groups consecutive spaces") {
     assert(runs("a  b") == Vector(AlphaRun("a", AllLower), SpaceRun("  "), AlphaRun("b", AllLower)))
   }
