@@ -7,15 +7,14 @@ import repro.core.Table
   * generalized pattern co-occurs *incompatibly* with the column's dominant
   * pattern — where compatibility statistics come from a large clean corpus.
   *
-  * The original trains co-occurrence on 100M web columns; we train on a
-  * clean synthetic corpus drawn from the same archetype generators as the
-  * benchmarks ([[repro.benchgen.Archetypes.cleanCorpusSignatures]]), which
-  * plays the same role: patterns that legitimately co-occur inside clean
-  * columns (e.g. `D` with `D.D`) are whitelisted, so only truly incompatible
-  * pattern pairs fire. Detection-only; repairs via [[LlmRepair]].
+  * The original trains co-occurrence on 100M web columns; here the
+  * compatible pairs are hand-written ([[AutoDetect.defaultCompatible]]),
+  * which plays the same role: patterns that legitimately co-occur inside
+  * clean columns (e.g. `D` with `D.D`) are whitelisted, so only truly
+  * incompatible pattern pairs fire. Detection-only; repairs via
+  * [[LlmRepair]].
   */
-final class AutoDetect(compatiblePairs: Set[(String, String)] = AutoDetect.defaultCompatible)
-    extends CleaningSystem {
+final class AutoDetect extends CleaningSystem {
   def name = "Auto-Detect"
 
   def clean(table: Table): Map[Int, ColumnOutcome] =
@@ -29,13 +28,11 @@ final class AutoDetect(compatiblePairs: Set[(String, String)] = AutoDetect.defau
           val sig = ColumnStats.coarseSig(values(r))
           sig != domSig &&
             shares(sig) <= 0.2 &&
-            !compatiblePairs.contains(norm(domSig, sig))
+            !AutoDetect.defaultCompatible.contains(AutoDetect.norm(domSig, sig))
         }.toSet
       val repairs = errors.iterator.flatMap(r => LlmRepair.repair(table, c, r).map(r -> _)).toMap
       c -> ColumnOutcome(errors, repairs)
     }.toMap
-
-  private def norm(a: String, b: String): (String, String) = if (a <= b) (a, b) else (b, a)
 }
 
 object AutoDetect {
@@ -43,14 +40,13 @@ object AutoDetect {
     * corpus statistics. Case variants of the same shape, and numeric
     * formats that mix precision, are compatible; delimiter changes are not.
     */
-  val defaultCompatible: Set[(String, String)] = {
-    val pairs = Seq(
-      ("D", "D.D"),       // integers with decimals
-      ("D", "D,D"),       // thousands separators
-      ("L", "U"), ("L", "A"), ("U", "A"), ("L", "T"),
-      ("U L", "L"), ("U L", "U"),
-      ("U", "U U"), ("L", "L L"),  // one- vs two-word names
-    )
-    pairs.map { case (a, b) => if (a <= b) (a, b) else (b, a) }.toSet
-  }
+  val defaultCompatible: Set[(String, String)] = Seq(
+    ("D", "D.D"),       // integers with decimals
+    ("D", "D,D"),       // thousands separators
+    ("L", "U"), ("L", "A"), ("U", "A"), ("L", "T"),
+    ("U L", "L"), ("U L", "U"),
+    ("U", "U U"), ("L", "L L"),  // one- vs two-word names
+  ).map { case (a, b) => norm(a, b) }.toSet
+
+  private def norm(a: String, b: String): (String, String) = if (a <= b) (a, b) else (b, a)
 }

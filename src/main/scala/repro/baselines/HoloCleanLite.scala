@@ -17,8 +17,14 @@ import repro.core.{Strings, Table}
   * Strong on categorical columns with redundancy, weak on free-format
   * strings — the behaviour reported in §5.
   */
-final class HoloCleanLite(minSupport: Int = 2, oddsMargin: Double = 3.0) extends CleaningSystem {
+final class HoloCleanLite extends CleaningSystem {
   def name = "HoloClean"
+
+  /** Occurrences a value needs to enter a cell's candidate domain, and the
+    * posterior odds by which the MAP candidate must beat the observed value.
+    */
+  private val minSupport = 2
+  private val oddsMargin = 3.0
 
   def clean(table: Table): Map[Int, ColumnOutcome] =
     table.cols.indices.map(c => c -> cleanColumn(table, c)).toMap

@@ -17,8 +17,14 @@ import repro.core.{Strings, Table}
   * has no semantic knowledge and no pattern generalization, so format errors
   * in all-distinct columns go undetected (§5.2).
   */
-final class Wmrr(minSupport: Int = 3, minConfidence: Double = 0.8) extends CleaningSystem {
+final class Wmrr extends CleaningSystem {
   def name = "WMRR"
+
+  /** Occurrences a frequent value, or a rule's antecedent, needs, and the
+    * share of an antecedent's rows its consequent must hold to be a rule.
+    */
+  private val minSupport    = 3
+  private val minConfidence = 0.8
 
   def clean(table: Table): Map[Int, ColumnOutcome] = {
     val intra = table.cols.indices.map(c => c -> intraColumn(table.col(c).values)).toMap
