@@ -210,30 +210,14 @@ object Strings {
     prev(b.length)
   }
 
-  /** Damerau-Levenshtein distance (with adjacent transpositions, in the
-    * optimal-string-alignment form), so `bleu → blue` counts as one edit,
-    * as the paper's LLM-repair examples assume. Fuzzy entity matching uses
-    * its cut-off form, [[damerauWithin]].
-    */
-  def damerau(a: String, b: String): Int = {
-    val d = Array.ofDim[Int](a.length + 1, b.length + 1)
-    for (i <- 0 to a.length) d(i)(0) = i
-    for (j <- 0 to b.length) d(0)(j) = j
-    for (i <- 1 to a.length; j <- 1 to b.length) {
-      val c = if (a(i - 1) == b(j - 1)) 0 else 1
-      d(i)(j) = math.min(math.min(d(i - 1)(j) + 1, d(i)(j - 1) + 1), d(i - 1)(j - 1) + c)
-      if (i > 1 && j > 1 && a(i - 1) == b(j - 2) && a(i - 2) == b(j - 1))
-        d(i)(j) = math.min(d(i)(j), d(i - 2)(j - 2) + 1)
-    }
-    d(a.length)(b.length)
-  }
-
-  /** `min(damerau(a, b), k + 1)` for `k >= 0`: Ukkonen's cut-off DP (Inf.
-    * Control 1985) over the band |i − j| ≤ k, in three rolling rows, that
-    * stops once a row's minimum exceeds `k`. A cell outside the band, or
-    * above `k`, reads as `k + 1`. Row minima never decrease, since a
-    * transposition from row i − 2 costs at least the diagonal cell of row
-    * i − 1 it skips.
+  /** The Damerau-Levenshtein distance of `a` and `b` (adjacent
+    * transpositions in the optimal-string-alignment form, so `bleu → blue`
+    * is one edit, as the paper's LLM-repair examples assume), capped at
+    * `k + 1` for `k >= 0`: Ukkonen's cut-off DP (Inf. Control 1985) over the
+    * band |i − j| ≤ k, in three rolling rows, that stops once a row's
+    * minimum exceeds `k`. A cell outside the band, or above `k`, reads as
+    * `k + 1`. Row minima never decrease, since a transposition from row
+    * i − 2 costs at least the diagonal cell of row i − 1 it skips.
     */
   def damerauWithin(a: String, b: String, k: Int): Int = {
     require(k >= 0, s"negative bound $k")

@@ -58,8 +58,8 @@ class RankerSpec extends AnyFunSuite {
   }
 
   test("damerau counts transpositions as one") {
-    assert(Strings.damerau("bleu", "blue") == 1)
+    assert(StringsReference.damerau("bleu", "blue") == 1)
     assert(Strings.lev("bleu", "blue") == 2)
-    assert(Strings.damerau("abc", "abc") == 0)
+    assert(StringsReference.damerau("abc", "abc") == 0)
   }
 }

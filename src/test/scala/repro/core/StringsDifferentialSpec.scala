@@ -4,8 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.pattern.Masks
 import scala.util.Random
 
-/** A readable Levenshtein distance: the row-by-row dynamic program over
-  * UTF-16 code units. The bit-parallel `Strings.lev` is checked against it.
+/** Readable edit distances over UTF-16 code units: the row-by-row
+  * Levenshtein DP, against which the bit-parallel `Strings.lev` is checked,
+  * and the full-matrix Damerau-Levenshtein DP (optimal string alignment),
+  * against which the cut-off `Strings.damerauWithin` is checked.
   */
 object StringsReference {
 
@@ -23,6 +25,19 @@ object StringsReference {
       Array.copy(cur, 0, prev, 0, cur.length)
     }
     prev(b.length)
+  }
+
+  def damerau(a: String, b: String): Int = {
+    val d = Array.ofDim[Int](a.length + 1, b.length + 1)
+    for (i <- 0 to a.length) d(i)(0) = i
+    for (j <- 0 to b.length) d(0)(j) = j
+    for (i <- 1 to a.length; j <- 1 to b.length) {
+      val c = if (a(i - 1) == b(j - 1)) 0 else 1
+      d(i)(j) = math.min(math.min(d(i - 1)(j) + 1, d(i)(j - 1) + 1), d(i - 1)(j - 1) + c)
+      if (i > 1 && j > 1 && a(i - 1) == b(j - 2) && a(i - 2) == b(j - 1))
+        d(i)(j) = math.min(d(i)(j), d(i - 2)(j - 2) + 1)
+    }
+    d(a.length)(b.length)
   }
 }
 
@@ -114,7 +129,7 @@ class StringsDifferentialSpec extends AnyFunSuite {
       val a = string(rng, rng.nextInt(25))
       val b = if (rng.nextInt(4) == 0) string(rng, rng.nextInt(25)) else mutate(rng, a, rng.nextInt(5))
       val k = rng.nextInt(5)
-      assert(Strings.damerauWithin(a, b, k) == math.min(Strings.damerau(a, b), k + 1), s"'$a' vs '$b', k = $k")
+      assert(Strings.damerauWithin(a, b, k) == math.min(StringsReference.damerau(a, b), k + 1), s"'$a' vs '$b', k = $k")
     }
   }
 }

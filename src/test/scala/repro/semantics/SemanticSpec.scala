@@ -54,7 +54,7 @@ class SemanticKBSpec extends AnyFunSuite {
     val budget = if (t.length >= 6) 2 else if (t.length >= 4) 1 else 0
     if (budget == 0) return None
     val hits = SemanticKB.entities.getOrElse(semType, Vector.empty).flatMap { en =>
-      en.forms.map { case (fn, s) => (en, fn, repro.core.Strings.damerau(t, SemanticKB.normalize(s))) }
+      en.forms.map { case (fn, s) => (en, fn, repro.core.StringsReference.damerau(t, SemanticKB.normalize(s))) }
     }.filter(_._3 <= budget)
     if (hits.isEmpty) None
     else {
