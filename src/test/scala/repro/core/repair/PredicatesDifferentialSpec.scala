@@ -32,6 +32,14 @@ object PredicatesReference {
     out.result().filter(t => t.nonEmpty && t != v).distinct
   }
 
+  /** Candidate constants of a column with their row counts, most rows
+    * first, ties by string: the values and their split tokens.
+    */
+  def candidates(vs: Vector[String]): Vector[(String, Int)] =
+    (vs ++ vs.flatMap(tokensOf))
+      .groupBy(identity).view.mapValues(_.size).toVector
+      .sortBy { case (s, c) => (-c, s) }
+
   /** (name, per-row values) of every non-constant feature, in order. */
   def featuresOf(table: Table): Vector[(String, Array[Boolean])] = {
     val n   = table.numRows
@@ -45,10 +53,7 @@ object PredicatesReference {
 
     for (col <- table.cols) {
       val vs = col.values
-      val consts = (vs ++ vs.flatMap(tokensOf))
-        .groupBy(identity).view.mapValues(_.size).toVector
-        .sortBy { case (s, c) => (-c, s) }
-        .take(40).map(_._1)
+      val consts = candidates(vs).take(40).map(_._1)
 
       for (s <- consts) {
         add(s"equals(${col.name},$s)",     _ == s, vs)
@@ -98,6 +103,26 @@ class PredicatesDifferentialSpec extends AnyFunSuite {
     case _ => Vector.fill(n)(if (rng.nextInt(3) == 0) randomValue(rng) else "")
   }
 
+  /** A column of `n` rows drawn from a pool of 65–130 distinct values, so
+    * that its dictionary spans more than one word once `n` is large.
+    */
+  private def wideColumn(rng: Random, n: Int): Vector[String] = {
+    val pool = Vector.tabulate(65 + rng.nextInt(66))(k => randomValue(rng) + "~" + k)
+    Vector.fill(n)(pool(rng.nextInt(pool.size)))
+  }
+
+  /** `featuresOf(table)` has the reference's names, order and row values,
+    * each reference feature whose row values repeat an earlier one's dropped.
+    */
+  private def assertMatchesReference(i: Int, table: Table): Unit = {
+    val want = PredicatesReference.featuresOf(table).distinctBy(_._2.toSeq)
+    val got  = Predicates.featuresOf(table)
+    assert(got.map(_.name) == want.map(_._1), s"case $i: names differ on $table")
+    assert(got.map(_.values.toSeq).distinct.size == got.size, s"case $i: repeated row values on $table")
+    for ((g, (name, values)) <- got.zip(want))
+      assert((0 until table.numRows).forall(r => g.values(r) == values(r)), s"case $i: $name differs on $table")
+  }
+
   test("tokensOf returns the reference's tokens on random strings") {
     val rng = new Random(61018L)
     for (i <- 0 until 20000) {
@@ -113,17 +138,32 @@ class PredicatesDifferentialSpec extends AnyFunSuite {
       val n     = 1 + rng.nextInt(if (rng.nextBoolean()) 40 else 160)
       val cols  = Vector.tabulate(1 + rng.nextInt(3))(c => s"c$c" -> randomColumn(rng, n))
       val withConst = if (rng.nextInt(4) == 0) cols :+ ("k" -> Vector.fill(n)("same")) else cols
-      val table = Table.of(withConst: _*)
-      // the reference's features, each but the first of equal row values dropped
-      val want  = PredicatesReference.featuresOf(table).distinctBy(_._2.toSeq)
-      val got   = Predicates.featuresOf(table)
-      assert(got.map(_.name) == want.map(_._1), s"case $i: names differ on $table")
-      assert(got.map(_.values.toSeq).distinct.size == got.size, s"case $i: repeated row values on $table")
-      for ((g, (name, values)) <- got.zip(want))
-        assert((0 until n).forall(r => g.values(r) == values(r)), s"case $i: $name differs on $table")
+      assertMatchesReference(i, Table.of(withConst: _*))
       if (n > 64) wide += 1
       if (withConst.size > cols.size) constant += 1
     }
     assert(wide >= 50 && constant >= 50, s"wide=$wide constant=$constant")
+  }
+
+  test("featuresOf matches the reference on wide dictionaries, copied columns, tied constants and empty values") {
+    val rng = new Random(20261021L)
+    var wideDict, copied, tiedCut, emptyConst = 0
+    for (i <- 0 until 300) {
+      val n    = 1 + rng.nextInt(200)
+      val base = Vector.tabulate(1 + rng.nextInt(2)) { c =>
+        s"c$c" -> (if (rng.nextInt(3) == 0) wideColumn(rng, n) else randomColumn(rng, n))
+      }
+      // a copy of a column under another name: every feature of it repeats one of the original's
+      val cols = if (rng.nextBoolean()) base :+ ("copy" -> base(rng.nextInt(base.size))._2) else base
+      assertMatchesReference(i, Table.of(cols: _*))
+      val cands = cols.map { case (_, vs) => PredicatesReference.candidates(vs) }
+      if (cols.exists(_._2.distinct.size > 64)) wideDict += 1
+      if (cols.size > base.size && PredicatesReference.featuresOf(Table.of(cols.last)).nonEmpty) copied += 1
+      // the 40th and 41st candidates have equal row counts: the string order decides the cut
+      if (cands.exists(cs => cs.size > 40 && cs(39)._2 == cs(40)._2)) tiedCut += 1
+      if (cands.exists(_.take(40).exists(_._1.isEmpty))) emptyConst += 1
+    }
+    assert(Seq(wideDict, copied, tiedCut, emptyConst).forall(_ >= 30),
+      s"wide=$wideDict copied=$copied tied=$tiedCut empty=$emptyConst")
   }
 }
