@@ -87,7 +87,7 @@ final class Concretizer(
         if (b != null) {
           val e = d.edges(path(i))
           e.label match {
-            case ClsLabel(_)  => b += r -> v.charAt(i).toString
+            case ClsLabel(_)  => b += r -> Concretizer.label(v.charAt(i))
             case MaskLabel(_) => suggestionAt(r, i).foreach(sug => b += r -> sug)
             case LitLabel(_)  => b += r -> d.disjAlts(e.disjId)(e.disjAlt)
           }
@@ -179,6 +179,11 @@ final class Concretizer(
 }
 
 object Concretizer {
+  private val asciiLabels = Array.tabulate(128)(c => String.valueOf(c.toChar))
+
+  /** `c` as a one-char label; an ASCII char's string is built once. */
+  private def label(c: Char): String = if (c < 128) asciiLabels(c) else String.valueOf(c)
+
   /** Letter → look-alike digit: the inverse of the knowledge base's table. */
   private val visual = SemanticKB.visualInv.map(_.swap)
 

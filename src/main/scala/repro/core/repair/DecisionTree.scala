@@ -107,6 +107,9 @@ object DecisionTree {
 
     val root: Grown = new Grown(all)
 
+    /** A node's split on feature `feat` into its true and false children. */
+    private final case class Split(feat: Int, t: Grown, f: Grown)
+
     /** The node whose examples are the set bits of `mask`, with its split
       * found on first use.
       */
@@ -125,7 +128,7 @@ object DecisionTree {
         m
       }
 
-      private lazy val split: Option[(Int, Grown, Grown)] =
+      private lazy val split: Option[Split] =
         if (counts(major) == size || featBits.isEmpty) None
         else {
           // the first minimum: lowest feature index among ties
@@ -142,7 +145,7 @@ object DecisionTree {
           // a split with an empty side leaves the node a leaf; zero-gain splits
           // are kept, since deeper levels may still separate xor-like labels
           if (tSize == 0 || tSize == size) None
-          else Some((j, new Grown(t), new Grown(andNot(mask, featBits(j)))))
+          else Some(Split(j, new Grown(t), new Grown(andNot(mask, featBits(j)))))
         }
 
       /** Examples the majority children of a split on `feat` misclassify. */
@@ -165,13 +168,13 @@ object DecisionTree {
 
       /** Examples the tree truncated at `depth` below this node predicts right. */
       def hits(depth: Int): Int = (if (depth == 0) None else split) match {
-        case Some((_, t, f)) => t.hits(depth - 1) + f.hits(depth - 1)
-        case None            => counts(major)
+        case Some(Split(_, t, f)) => t.hits(depth - 1) + f.hits(depth - 1)
+        case None                 => counts(major)
       }
 
       def tree(depth: Int): DTree = (if (depth == 0) None else split) match {
-        case Some((fi, t, f)) => Node(fi, t.tree(depth - 1), f.tree(depth - 1))
-        case None             => Leaf(labels(major))
+        case Some(Split(j, t, f)) => Node(j, t.tree(depth - 1), f.tree(depth - 1))
+        case None                 => Leaf(labels(major))
       }
     }
   }
