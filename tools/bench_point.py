@@ -3,28 +3,27 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_point.py --base <commit> [--head <commit>] [--seeds 11-20]
-        [--workloads wiki_tables,formula_tables,spark_column] [--seconds 25]
-        [--traced wiki_tables,formula_tables,spark_column,long_columns,irregular_columns]
-        [--out <dir>] [--tmp <dir>]
+    python3 tools/bench_point.py --base <commit> [--head <commit>] [--seeds 21-30]
+        [--seconds <s>] [--out <dir>] [--tmp <dir>]
 
 Each commit's committed files are exported (`git archive`) into a temporary
 directory, where `perfbench/run.py` builds and runs them. The script first
-makes one traced seed-1 run (5 s) per commit of each --traced workload; the
-first of them also builds the export. Then, for each of --workloads, it makes
-one untraced run per commit and seed, alternating which commit runs first
-from one seed to the next. Runs go one at a time.
+makes one traced seed-1 run (5 s) per commit of each of the five workloads;
+the first of them also builds the export. Then, for each workload listed in
+BENCHMARK.json, it makes one untraced run per commit and seed, alternating
+which commit runs first from one seed to the next. Runs go one at a time and
+last BENCHMARK.json's run_seconds unless --seconds says otherwise (a short
+run checks the script, not the program).
 
 Then it writes BENCH_<commit>.json for both commits into --out (default: the
 current directory). Each file holds the commit, every run's metrics and
 calibration factor, the median and quartiles of each end-to-end metric per
-workload, and the traced seed-1 metrics of each --traced workload. The raw output of every
-run.py call goes to BENCH_<commit>.log beside it. A pair summary (medians,
+workload, and the traced seed-1 metrics of each workload. The raw output of
+every run.py call goes to BENCH_<commit>.log beside it. A pair summary (medians,
 pairs won by the head, the base's IQR) is printed at the end.
 
 When any run fails or is not `correct`, the script exits with code 1 and
-writes no file. --head defaults to HEAD; the workloads default to those
-listed in BENCHMARK.json.
+writes no file. --head defaults to HEAD.
 """
 
 import argparse
@@ -38,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 TRACE_SECONDS = 5
+TRACED = ["wiki_tables", "formula_tables", "spark_column", "long_columns", "irregular_columns"]
 SCALE = re.compile(r"times are scaled by ([0-9.]+)")
 
 
@@ -94,17 +94,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True)
     ap.add_argument("--head", default="HEAD")
-    ap.add_argument("--seeds", default="11-20", help="e.g. 11-20 or 3,5,8-9")
-    ap.add_argument("--workloads", default=None, help="comma-separated; default: BENCHMARK.json's")
-    ap.add_argument("--traced", default="wiki_tables,formula_tables,spark_column,long_columns,irregular_columns")
-    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--seeds", default="21-30", help="e.g. 21-30 or 3,5,8-9")
+    ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--out", default=".")
     ap.add_argument("--tmp", default=None, help="parent directory of the temporary exports")
     args = ap.parse_args()
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = args.seconds or spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
     commits = [git("rev-parse", args.base + "^{commit}"), git("rev-parse", args.head + "^{commit}")]
     if commits[0] == commits[1]:
@@ -119,7 +118,7 @@ def main():
         checkout = {c: tmp / short[c] for c in commits}
         for c in commits:
             export(c, checkout[c])
-        for w in args.traced.split(","):
+        for w in TRACED:
             for c in commits:
                 result = run(checkout[c], logs[c], w, 1, TRACE_SECONDS, 1)
                 if result is None or not result["correct"]:
@@ -130,7 +129,7 @@ def main():
         for w in workloads:
             for i, seed in enumerate(seeds):
                 for position, c in enumerate(commits if i % 2 == 0 else commits[::-1]):
-                    result = run(checkout[c], logs[c], w, seed, args.seconds, 0)
+                    result = run(checkout[c], logs[c], w, seed, seconds, 0)
                     if result is None or not result["correct"]:
                         sys.exit(f"bench_point: {w} seed {seed} of {short[c]} failed or is not correct")
                     runs[c].append({"workload": w, "seed": seed, "position": position,
@@ -156,7 +155,7 @@ def main():
 
     out_dir = Path(args.out)
     for c, other in zip(commits, commits[::-1]):
-        point = {"commit": c, "measured_with": other, "seconds": args.seconds, "seeds": seeds,
+        point = {"commit": c, "measured_with": other, "seconds": seconds, "seeds": seeds,
                  "end_to_end": summary(c), "per_layer": traced[c], "runs": runs[c]}
         (out_dir / f"BENCH_{short[c]}.json").write_text(json.dumps(point, indent=1) + "\n")
         (out_dir / f"BENCH_{short[c]}.log").write_text("\n".join(logs[c]) + "\n")
