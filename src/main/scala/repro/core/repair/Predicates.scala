@@ -134,7 +134,7 @@ object Predicates {
     * sum of its ids' counts, and since every id has a row, equal hit sets
     * mean equal rows; so a constant feature, or one with the ids of an
     * earlier feature of the column, is dropped before its name or row bits
-    * are built. A kept feature's row bits are the OR of its ids' row masks.
+    * are built. A kept feature's row bits take one pass over the rows.
     */
   private def columnFeatures(col: Column, out: mutable.Growable[Feature]): Unit = {
     val n    = col.size
@@ -142,12 +142,6 @@ object Predicates {
     val ds   = dict.values.toArray
     val m    = ds.length
     val hw   = (m + 63) >>> 6 // words of a hit set
-    val rw   = (n + 63) >>> 6 // words of a feature's row bits
-
-    // id d's rows as row bits, in words d * rw until (d + 1) * rw
-    val idRows = new Array[Long](m * rw)
-    var r = 0
-    while (r < n) { idRows(dict.ids(r) * rw + (r >>> 6)) |= 1L << r; r += 1 }
 
     def foreachId(hit: Array[Long])(f: Int => Unit): Unit =
       for (w <- 0 until hw) {
@@ -164,8 +158,13 @@ object Predicates {
       var rows = 0
       foreachId(hit)(rows += dict.counts(_))
       if (rows > 0 && rows < n && seen.add(ArraySeq.unsafeWrapArray(hit))) {
-        val bits = new Array[Long](rw)
-        foreachId(hit)(d => for (w <- 0 until rw) bits(w) |= idRows(d * rw + w))
+        val bits = new Array[Long]((n + 63) >>> 6)
+        var r = 0
+        while (r < n) {
+          val d = dict.ids(r)
+          if (((hit(d >>> 6) >>> d) & 1L) != 0) bits(r >>> 6) |= 1L << r
+          r += 1
+        }
         out += new Feature(name, n, bits)
       }
     }

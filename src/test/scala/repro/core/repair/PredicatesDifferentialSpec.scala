@@ -166,4 +166,32 @@ class PredicatesDifferentialSpec extends AnyFunSuite {
     assert(Seq(wideDict, copied, tiedCut, emptyConst).forall(_ >= 30),
       s"wide=$wideDict copied=$copied tied=$tiedCut empty=$emptyConst")
   }
+
+  test("featuresOf on all-distinct columns: the reference at 20 000 rows, each feature's own template at 400 000") {
+    val rng = new Random(20261022L)
+    val mid = Vector.tabulate(20000)(i => randomValue(rng) + "~" + i)
+    assertMatchesReference(0, Table.of("c" -> mid))
+
+    // one dictionary id per row: row bits built per id would take n * n / 64 words here
+    val n    = 400000
+    val vs   = Vector.tabulate(n)(i => "r" + i)
+    val got  = Predicates.featuresOf(Table.of("c" -> vs))
+    val Call = """(\w+)\(c(?:,(.*))?\)""".r
+    for (f <- got) {
+      val p: String => Boolean = f.name match {
+        case Call("equals", s)     => _ == s
+        case Call("contains", s)   => _.contains(s)
+        case Call("startsWith", s) => _.startsWith(s)
+        case Call("endsWith", s)   => _.endsWith(s)
+        case Call("length", l)     => _.length == l.toInt
+        case Call("hasDigits", _)  => _.exists(_.isDigit)
+        case Call("isText", _)     => v => v.nonEmpty && !Strings.isNumeric(v)
+        case other                 => fail(s"unexpected feature $other")
+      }
+      assert(f.rows == n && f.bits.length == (n + 63) / 64)
+      assert((0 until n).forall(r => f(r) == p(vs(r))), s"${f.name} differs")
+    }
+    // "r" and 39 digit strings are the constants; only some of the latter are contained in a value
+    assert(got.count(_.name.startsWith("contains(")) >= 30, got.map(_.name))
+  }
 }

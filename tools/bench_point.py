@@ -3,17 +3,15 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_point.py --base <commit> [--head <commit>] [--seeds 21-30]
-        [--seconds <s>] [--out <dir>] [--tmp <dir>]
+    python3 tools/bench_point.py --base <commit> [--head <commit>] [--out <dir>] [--tmp <dir>]
 
 Each commit's committed files are exported (`git archive`) into a temporary
 directory, where `perfbench/run.py` builds and runs them. The script first
 makes one traced seed-1 run (5 s) per commit of each of the five workloads;
 the first of them also builds the export. Then, for each workload listed in
-BENCHMARK.json, it makes one untraced run per commit and seed, alternating
-which commit runs first from one seed to the next. Runs go one at a time and
-last BENCHMARK.json's run_seconds unless --seconds says otherwise (a short
-run checks the script, not the program).
+BENCHMARK.json, it makes one untraced run per commit and seed (seeds 21-30),
+alternating which commit runs first from one seed to the next. Runs go one at
+a time and last BENCHMARK.json's run_seconds.
 
 Then it writes BENCH_<commit>.json for both commits into --out (default: the
 current directory). Each file holds the commit, every run's metrics and
@@ -37,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 TRACE_SECONDS = 5
+SEEDS = list(range(21, 31))
 TRACED = ["wiki_tables", "formula_tables", "spark_column", "long_columns", "irregular_columns"]
 SCALE = re.compile(r"times are scaled by ([0-9.]+)")
 
@@ -52,14 +51,6 @@ def export(sha, dest):
     archive.stdout.close()
     if archive.wait() != 0:
         sys.exit(f"bench_point: git archive {sha} failed")
-
-
-def parse_seeds(text):
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
 
 
 def run(checkout, log, workload, seed, seconds, trace):
@@ -94,8 +85,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True)
     ap.add_argument("--head", default="HEAD")
-    ap.add_argument("--seeds", default="21-30", help="e.g. 21-30 or 3,5,8-9")
-    ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--out", default=".")
     ap.add_argument("--tmp", default=None, help="parent directory of the temporary exports")
     args = ap.parse_args()
@@ -103,8 +92,8 @@ def main():
     spec = json.loads(Path("BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
-    seeds = parse_seeds(args.seeds)
+    seconds = spec["run_seconds"]
+    seeds = SEEDS
     commits = [git("rev-parse", args.base + "^{commit}"), git("rev-parse", args.head + "^{commit}")]
     if commits[0] == commits[1]:
         sys.exit("bench_point: --base and --head are the same commit")
@@ -161,7 +150,7 @@ def main():
         (out_dir / f"BENCH_{short[c]}.log").write_text("\n".join(logs[c]) + "\n")
 
     base, head = commits
-    print(f"\npairs: head {short[head]} against base {short[base]}, seeds {args.seeds}")
+    print(f"\npairs: head {short[head]} against base {short[base]}, seeds {seeds[0]}-{seeds[-1]}")
     for w in workloads:
         for name, m in end_to_end.items():
             pair = {c: {r["seed"]: r["metrics"][name] for r in runs[c] if r["workload"] == w} for c in commits}
